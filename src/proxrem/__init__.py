@@ -43,7 +43,6 @@ from .graphs import (
     parse_graph,
     path_graph,
     render_graph,
-    set_distance,
     star_graph,
 )
 from .invariants import (

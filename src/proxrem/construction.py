@@ -12,7 +12,7 @@ order, minimum degree and maximum degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -26,8 +26,8 @@ from .graphs import (
     graph_from_edges,
     is_connected,
 )
-from .invariants import classical_bounds, invariant_summary
-from .weighted import WeightFunction, heavy_majority_bound, heavy_minority_bound
+from .invariants import InvariantSummary, classical_bounds, invariant_summary
+from .weighted import heavy_majority_bound, heavy_minority_bound
 
 
 class ConstructionError(RuntimeError):
@@ -49,6 +49,10 @@ class ConstructionTrace:
     anchor used for the remoteness chain.  ``aux`` is F with vertex ``i``
     standing for ``anchors[i]``.  ``adjusted_weights`` is the contracted
     weight map with ``q`` added at ``w0``.
+
+    ``d_tree``, ``d_aux`` and ``tree_summary`` are the distances of T and
+    F and the invariants of T, computed once here and read by the chain
+    certifiers; they take no part in equality or ``repr``.
     """
 
     order: int
@@ -63,9 +67,9 @@ class ConstructionTrace:
     q: int
     adjusted_weights: dict[int, Fraction]
     w0: int
-
-    def anchor_position(self, b: int) -> int:
-        return self.anchors.index(b)
+    d_tree: DistanceOracle = field(compare=False, repr=False)
+    d_aux: DistanceOracle = field(compare=False, repr=False)
+    tree_summary: InvariantSummary = field(compare=False, repr=False)
 
 
 def q_adjustment(n: int, Delta: int, delta: int) -> int:
@@ -229,24 +233,18 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     q = q_adjustment(g.n, Delta, delta)
 
     d_aux = all_pairs_distances(aux)
-    aux_weights = WeightFunction.of([counts[b] for b in anchors])
-    sigma = [
-        sum(aux_weights[j] * d_aux.d(i, j) for j in range(len(anchors)))
-        for i in range(len(anchors))
-    ]
-    best = min(sigma)
+    # contracted weights are integers and sigma <= n^2, so int64 is exact
+    sigma = d_aux.matrix @ np.array([counts[b] for b in anchors], dtype=np.int64)
     # ties break to the lowest vertex id, not to anchor insertion order
-    w0 = min(anchors[i] for i in range(len(anchors)) if sigma[i] == best)
+    w0 = min(anchors[i] for i in np.flatnonzero(sigma == sigma.min()))
     w0_pos = anchors.index(w0)
 
     adjusted = {b: Fraction(counts[b]) for b in anchors}
     adjusted[w0] += q
     # adding q at w0 cannot dethrone it, but the claim is checked, not trusted
-    sigma_adj = [
-        sigma[i] + q * d_aux.d(i, w0_pos) for i in range(len(anchors))
-    ]
+    sigma_adj = sigma + q * d_aux.matrix[:, w0_pos]
     _require(
-        all(sigma_adj[w0_pos] <= s for s in sigma_adj),
+        bool((sigma_adj[w0_pos] <= sigma_adj).all()),
         "chosen median lost medianhood after the q adjustment",
     )
 
@@ -263,6 +261,9 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
         q=q,
         adjusted_weights=adjusted,
         w0=w0,
+        d_tree=d_tree,
+        d_aux=d_aux,
+        tree_summary=invariant_summary(tree, d_tree),
     )
 
 
@@ -307,19 +308,15 @@ def _link(name: str, lhs: Fraction | int, rhs: Fraction | int) -> ChainLink:
     return ChainLink(name, lf, rf, lf <= rf)
 
 
-def _sigma_values(
-    trace: ConstructionTrace,
-    d_tree: DistanceOracle,
-    d_aux: DistanceOracle,
-    at: int,
-) -> tuple[int, int, int, Fraction]:
+def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, Fraction]:
     """Transmission and contracted weighted distances at an anchor ``at``.
 
     Returns ``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)``.
     """
+    d_tree, d_aux = trace.d_tree, trace.d_aux
     pos = {b: i for i, b in enumerate(trace.anchors)}
     p = pos[at]
-    sigma_t = int(d_tree.row(at).sum())
+    sigma_t = trace.tree_summary.transmissions[at]
     sigma_c_t = sum(trace.weights[b] * d_tree.d(at, b) for b in trace.anchors)
     sigma_c_f = sum(trace.weights[b] * d_aux.d(p, pos[b]) for b in trace.anchors)
     sigma_adj_f = Fraction(sigma_c_f) + trace.q * d_aux.d(p, pos[trace.w0])
@@ -327,19 +324,20 @@ def _sigma_values(
 
 
 def certify_proximity_chain(
-    g: Graph, trace: ConstructionTrace, oracle: DistanceOracle | None = None
+    g: Graph, trace: ConstructionTrace, summary: InvariantSummary | None = None
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the proximity of ``g`` through the trace.
+
+    T's and F's distances and T's invariants come from the trace, which
+    computed them once.  ``summary`` is ``g``'s own; when it is absent it
+    is computed here.
 
     Each merged constant is re-derived as its own link, so an arithmetic
     slip anywhere in the derivation surfaces as a failed certificate with
     exact slack.
     """
     n, delta, Delta = trace.order, trace.delta, trace.Delta
-    d_g = oracle if oracle is not None else all_pairs_distances(g)
-    d_tree = all_pairs_distances(trace.tree)
-    d_aux = all_pairs_distances(trace.aux)
-    sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f = _sigma_values(trace, d_tree, d_aux, trace.w0)
+    sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f = _sigma_values(trace, trace.w0)
 
     big_n_q = Fraction(n + trace.q)
     big_n_d = Fraction(n + delta)
@@ -359,9 +357,8 @@ def certify_proximity_chain(
             9 * (n - 1), 4
         )
     bounds = degree_range_bounds(n, delta, Delta)
-
-    inv_g = invariant_summary(g, d_g)
-    inv_t = invariant_summary(trace.tree, d_tree)
+    inv_g = summary or invariant_summary(g)
+    inv_t = trace.tree_summary
 
     return (
         _link("transmission_vs_contracted", sigma_t, sigma_c_t + 2 * (n - 1)),
@@ -378,21 +375,20 @@ def certify_proximity_chain(
 
 
 def certify_remoteness_chain(
-    g: Graph, trace: ConstructionTrace, oracle: DistanceOracle | None = None
+    g: Graph, trace: ConstructionTrace, summary: InvariantSummary | None = None
 ) -> tuple[ChainLink, ...]:
-    """Certify every link bounding the remoteness of ``g`` through the trace."""
-    n, delta, Delta = trace.order, trace.delta, trace.Delta
-    d_g = oracle if oracle is not None else all_pairs_distances(g)
-    d_tree = all_pairs_distances(trace.tree)
-    d_aux = all_pairs_distances(trace.aux)
+    """Certify every link bounding the remoteness of ``g`` through the trace.
 
-    inv_g = invariant_summary(g, d_g)
-    inv_t = invariant_summary(trace.tree, d_tree)
+    As for :func:`certify_proximity_chain`, T's and F's distances and T's
+    invariants come from the trace; ``summary`` is ``g``'s.
+    """
+    n, delta, Delta = trace.order, trace.delta, trace.Delta
+    inv_g = summary or invariant_summary(g)
+    inv_t = trace.tree_summary
     far = inv_t.antimedian[0]
-    far_anchor = trace.nearest_anchor[far]
-    sigma_far = int(d_tree.row(far).sum())
+    sigma_far = inv_t.transmissions[far]
     sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f = _sigma_values(
-        trace, d_tree, d_aux, far_anchor
+        trace, trace.nearest_anchor[far]
     )
 
     big_n_q = Fraction(n + trace.q)
@@ -472,8 +468,8 @@ def bound_report(
     prox_chain = rem_chain = None
     if include_chains:
         trace = build_construction(g, d)
-        prox_chain = certify_proximity_chain(g, trace, d)
-        rem_chain = certify_remoteness_chain(g, trace, d)
+        prox_chain = certify_proximity_chain(g, trace, summary=inv)
+        rem_chain = certify_remoteness_chain(g, trace, summary=inv)
 
     return BoundReport(
         order=g.n,

@@ -206,8 +206,8 @@ def _distances_scipy(adj: tuple[tuple[int, ...], ...]) -> np.ndarray:
     csr = csr_matrix((data, indices, indptr), shape=(n, n))
     # adjacency is symmetric, so directed traversal is equivalent and cheaper
     dist = dijkstra(csr, directed=True, unweighted=True)
-    out = np.where(np.isinf(dist), float(INF), dist)
-    return out.astype(np.int64)
+    dist[np.isinf(dist)] = INF
+    return dist.astype(np.int64)
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
@@ -222,28 +222,6 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
         mat = _distances_python(g.adj)
     mat.setflags(write=False)
     return DistanceOracle(mat)
-
-
-def set_distance(g: Graph, v: int, targets: Iterable[int]) -> int:
-    """Distance from ``v`` to the nearest vertex of a nonempty set."""
-    tset = set(targets)
-    if not tset:
-        raise ValueError("set distance to an empty vertex set")
-    if v in tset:
-        return 0
-    dist = [INF] * g.n
-    dist[v] = 0
-    dq = deque([v])
-    while dq:
-        u = dq.popleft()
-        du = dist[u] + 1
-        for w in g.adj[u]:
-            if dist[w] == INF:
-                if w in tset:
-                    return du
-                dist[w] = du
-                dq.append(w)
-    return INF
 
 
 # Small factories used throughout the tests and the CLI examples.

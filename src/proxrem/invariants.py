@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import DistanceOracle, Graph, all_pairs_distances
+from .graphs import INF, DistanceOracle, Graph, all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class InvariantSummary:
     antimedian: tuple[int, ...]  # argmax, sorted
 
 
-def transmission(g: Graph, d: DistanceOracle, v: int) -> int:
+def transmission(d: DistanceOracle, v: int) -> int:
     """Sum of distances from ``v`` to all other vertices."""
     row = d.row(v)
-    if not bool((row < 2**31 - 1).all()):
+    if not bool((row < INF).all()):
         raise ValueError("transmission undefined on a disconnected graph")
     return int(row.sum())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .graphs import DistanceOracle, Graph, is_connected
+from .graphs import DistanceOracle, Graph, ParseError, is_connected
 
 RationalLike = Fraction | int | str
 
@@ -79,13 +79,26 @@ class WeightFunction:
 
     @classmethod
     def from_lines(cls, text: str, n: int) -> "WeightFunction":
+        """Parse :meth:`to_lines` output; blank and ``#`` lines are skipped.
+
+        Raises :class:`ParseError` on a malformed line, a vertex outside
+        ``0..n-1`` or a zero denominator.
+        """
         vals = [Fraction(0)] * n
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            vtx, frac = line.split()
-            vals[int(vtx)] = Fraction(frac)
+            try:
+                vtx, frac = line.split()
+                v, w = int(vtx), Fraction(frac)
+            except ZeroDivisionError:
+                raise ParseError(f"line {lineno}: zero denominator in {raw!r}") from None
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected 'vertex weight', got {raw!r}") from None
+            if not 0 <= v < n:
+                raise ParseError(f"line {lineno}: vertex {v} out of range for order {n}")
+            vals[v] = w
         return cls(tuple(vals))
 
 

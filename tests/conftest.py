@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 from hypothesis import strategies as st
 
 import proxrem as px
@@ -65,10 +67,30 @@ def floyd_warshall(g: px.Graph) -> list[list[int]]:
     return dist
 
 
+def set_distance(g: px.Graph, v: int, targets) -> int:
+    """Distance from ``v`` to the nearest vertex of a nonempty set."""
+    tset = set(targets)
+    if not tset:
+        raise ValueError("set distance to an empty vertex set")
+    if v in tset:
+        return 0
+    dist = [INF] * g.n
+    dist[v] = 0
+    dq = deque([v])
+    while dq:
+        u = dq.popleft()
+        du = dist[u] + 1
+        for w in g.adj[u]:
+            if dist[w] == INF:
+                if w in tset:
+                    return du
+                dist[w] = du
+                dq.append(w)
+    return INF
+
+
 def bfs_spanning_tree(g: px.Graph) -> px.Graph:
     """Deterministic spanning tree of a connected graph (BFS from 0)."""
-    from collections import deque
-
     seen = bytearray(g.n)
     seen[0] = 1
     edges = []

@@ -105,8 +105,9 @@ def test_criterion_4_construction_invariants_and_chains(corpus):
         ok = ok and px.is_connected(trace.aux)
         ok = ok and all(trace.weights[b] >= g.degree(b) + 1 for b in trace.anchors)
         ok = ok and sum(trace.weights.values()) == n
-        prox = px.certify_proximity_chain(g, trace, d)
-        rem = px.certify_remoteness_chain(g, trace, d)
+        inv = px.invariant_summary(g, d)
+        prox = px.certify_proximity_chain(g, trace, inv)
+        rem = px.certify_remoteness_chain(g, trace, inv)
         ok = ok and all(link.holds for link in prox)
         ok = ok and all(link.holds for link in rem)
         if not ok:

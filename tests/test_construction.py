@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import proxrem as px
 from proxrem.construction import trace_to_json
 
-from .conftest import connected_graphs
+from .conftest import connected_graphs, floyd_warshall, set_distance
 
 
 def _verify_trace_invariants(g, trace):
@@ -19,9 +19,9 @@ def _verify_trace_invariants(g, trace):
     # anchors dominate at radius 2 in G; every later anchor was picked at
     # set-distance exactly 3 from its predecessors
     for v in range(n):
-        assert px.set_distance(g, v, trace.anchors) <= 2
+        assert set_distance(g, v, trace.anchors) <= 2
     for i in range(1, len(trace.anchors)):
-        assert px.set_distance(g, trace.anchors[i], trace.anchors[:i]) == 3
+        assert set_distance(g, trace.anchors[i], trace.anchors[:i]) == 3
     # contraction invariants
     d_t = px.all_pairs_distances(t)
     for v in range(n):
@@ -216,6 +216,50 @@ class TestChains:
         _verify_trace_invariants(g, trace)
         assert all(l.holds for l in px.certify_proximity_chain(g, trace))
         assert all(l.holds for l in px.certify_remoteness_chain(g, trace))
+
+
+class TestDistanceReuse:
+    def test_report_with_chains_computes_tree_and_aux_distances_once(self, monkeypatch):
+        from proxrem import construction, invariants
+
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return px.all_pairs_distances(g)
+
+        monkeypatch.setattr(construction, "all_pairs_distances", counting)
+        monkeypatch.setattr(invariants, "all_pairs_distances", counting)
+        g = px.cycle_graph(12)
+        d = px.all_pairs_distances(g)
+        report = px.bound_report(g, include_chains=True, oracle=d)
+        assert report.all_hold()
+        assert calls == [12, 4]  # T, then F on the four anchors
+
+    @given(connected_graphs(max_order=12))
+    @settings(max_examples=40, deadline=None)
+    def test_trace_distances_match_floyd_warshall(self, g):
+        trace = px.build_construction(g)
+        assert trace.d_tree.matrix.tolist() == floyd_warshall(trace.tree)
+        assert trace.d_aux.matrix.tolist() == floyd_warshall(trace.aux)
+        assert trace.tree_summary == px.invariant_summary(trace.tree)
+
+    @pytest.mark.parametrize(
+        "g",
+        [px.path_graph(7), px.cycle_graph(12), px.extremal_graph(px.ExtremalParams(20, 3, 8))],
+        ids=["P7", "C12", "extremal"],
+    )
+    def test_report_chains_equal_standalone_chains(self, g):
+        report = px.bound_report(g, include_chains=True)
+        trace = px.build_construction(g)
+        assert report.proximity_chain == px.certify_proximity_chain(g, trace)
+        assert report.remoteness_chain == px.certify_remoteness_chain(g, trace)
+
+    def test_trace_equality_ignores_distance_fields(self):
+        g = px.cycle_graph(9)
+        a, b = px.build_construction(g), px.build_construction(g)
+        assert a.d_tree is not b.d_tree and a == b
+        assert "d_tree" not in repr(a) and "tree_summary" not in repr(a)
 
 
 class TestBoundReport:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import proxrem as px
 from proxrem.graphs import INF, ParseError, _distances_python, _distances_scipy
 
-from .conftest import arbitrary_graphs, connected_graphs, floyd_warshall
+from .conftest import arbitrary_graphs, connected_graphs, floyd_warshall, set_distance
 
 
 class TestParse:
@@ -75,13 +75,13 @@ class TestBasics:
 
     def test_set_distance(self):
         p5 = px.path_graph(5)
-        assert px.set_distance(p5, 4, {0, 1}) == 3
-        assert px.set_distance(p5, 1, {0, 1, 3}) == 0
-        assert px.set_distance(px.cycle_graph(6), 3, {0}) == 3
+        assert set_distance(p5, 4, {0, 1}) == 3
+        assert set_distance(p5, 1, {0, 1, 3}) == 0
+        assert set_distance(px.cycle_graph(6), 3, {0}) == 3
 
     def test_set_distance_empty_set(self):
         with pytest.raises(ValueError):
-            px.set_distance(px.path_graph(3), 0, set())
+            set_distance(px.path_graph(3), 0, set())
 
 
 class TestDistances:

@@ -39,6 +39,20 @@ class TestWeightFunction:
         c = px.WeightFunction.of([Fraction(3, 7), 0, 5])
         assert px.WeightFunction.from_lines(c.to_lines(), 3) == c
 
+    @pytest.mark.parametrize("text", ["3 1/2\n", "-1 1/2\n"], ids=["past-end", "negative"])
+    def test_from_lines_vertex_out_of_range(self, text):
+        with pytest.raises(px.ParseError, match="out of range"):
+            px.WeightFunction.from_lines(text, 3)
+
+    def test_from_lines_zero_denominator(self):
+        with pytest.raises(px.ParseError, match="zero denominator"):
+            px.WeightFunction.from_lines("0 1/0\n", 3)
+
+    @pytest.mark.parametrize("text", ["0\n", "0 1 2\n", "x 1\n", "0 1/2/3\n"])
+    def test_from_lines_malformed_line(self, text):
+        with pytest.raises(px.ParseError, match="line 1"):
+            px.WeightFunction.from_lines(text, 3)
+
 
 class TestWeightedDistance:
     def test_hand_example(self):
@@ -55,7 +69,7 @@ class TestWeightedDistance:
         d = px.all_pairs_distances(g)
         c = px.WeightFunction.unit(7)
         for v in range(7):
-            assert px.weighted_distance(g, d, c, v) == px.transmission(g, d, v)
+            assert px.weighted_distance(g, d, c, v) == px.transmission(d, v)
         assert px.c_median(g, d, c) == px.invariant_summary(g, d).median
 
     def test_zero_weights(self):
