@@ -5,9 +5,10 @@ bounds, optionally with the certified inequality chains), ``extremal``
 (family generation and sharpness gaps), ``oracle`` (exhaustive sweeps).
 
 Exit codes: 0 success, 1 a verified claim failed (counterexample found),
-2 usage or input error.  Output is byte-identical for identical inputs
-and flags; ``--timings`` adds wall-clock data and is off by default so
-the default output stays deterministic.
+2 usage or input error, an unreadable path included.  Output is
+byte-identical for identical inputs and flags; ``--timings`` adds
+wall-clock data and is off by default so the default output stays
+deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .construction import ConstructionError, bound_report
 from .extremal import ExtremalParams, extremal_graph, sharpness_report, valid_Deltas
-from .graphs import ParseError, all_pairs_distances, parse_graph, render_graph
+from .graphs import ParseError, all_pairs_distances, is_connected, parse_graph, render_graph
 from .invariants import invariant_summary
 from .oracle import (
     DEFAULT_SEED,
@@ -42,8 +43,12 @@ def _emit(doc: dict, timings: dict | None) -> None:
 
 
 def _load_graph(path: str):
-    text = Path(path).read_text()
-    return parse_graph(text)
+    """Parse ``path`` and reject a disconnected graph in O(n+m), before any
+    all-pairs distance matrix is allocated."""
+    g = parse_graph(Path(path).read_text())
+    if not is_connected(g):
+        raise ParseError("input graph is disconnected")
+    return g
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -64,11 +69,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.input)
-    d = all_pairs_distances(g)
-    if not d.all_finite():
-        print("error: input graph is disconnected", file=sys.stderr)
-        return EXIT_USAGE
-    report = bound_report(g, include_chains=args.chain, oracle=d)
+    report = bound_report(g, include_chains=args.chain, oracle=all_pairs_distances(g))
     timings = {"seconds": time.perf_counter() - t0} if args.timings else None
     _emit(rpt.verify_document(g, report, args.input), timings)
     return EXIT_OK if report.all_hold() else EXIT_CLAIM_FAILED
@@ -226,10 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConstructionError as exc:

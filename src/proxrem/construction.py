@@ -130,14 +130,13 @@ def _grow_anchor_tree(
 
 
 def contract_weights(
-    anchors: Sequence[int], tree: Graph, oracle: DistanceOracle | None = None
+    anchors: Sequence[int], d: DistanceOracle
 ) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Assign every vertex to its nearest anchor in the tree.
+    """Assign every vertex to its nearest anchor under T's distances ``d``.
 
     Ties break to the lowest anchor vertex id.  Returns the assignment and
     the contracted integer weights (anchor -> number of assigned vertices).
     """
-    d = oracle if oracle is not None else all_pairs_distances(tree)
     cols = np.array(sorted(anchors), dtype=np.int64)
     sub = d.matrix[:, cols]
     _require(int(sub.min(axis=1).max()) <= 2, "a vertex is farther than 2 from every anchor")
@@ -149,45 +148,24 @@ def contract_weights(
     return assignment, counts
 
 
-def auxiliary_graph(
-    anchors: Sequence[int], tree: Graph, oracle: DistanceOracle | None = None
-) -> Graph:
-    """Graph on anchor positions joining anchors at tree-distance <= 3.
+def auxiliary_graph(anchors: Sequence[int], d: DistanceOracle) -> Graph:
+    """Graph on anchor positions joining anchors at T-distance <= 3.
 
-    Vertex ``i`` stands for ``anchors[i]``.  Raises if the result is
-    disconnected or if some anchor after the first has no predecessor at
-    tree-distance exactly 3 (both are guaranteed by the growth rule).
+    ``d`` holds T's distances; vertex ``i`` stands for ``anchors[i]``.
+    Raises if the result is disconnected or if some anchor after the first
+    has no predecessor at tree-distance exactly 3 (both are guaranteed by
+    the growth rule).
     """
-    d = oracle if oracle is not None else all_pairs_distances(tree)
     r = len(anchors)
-    edges = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            if d.d(anchors[i], anchors[j]) <= 3:
-                edges.append((i, j))
-    aux = graph_from_edges(r, edges)
+    # one gather, then plain lists: most graphs have one to three anchors,
+    # where further numpy calls cost more than a Python scan
+    sub = d.matrix[np.ix_(anchors, anchors)].tolist()
+    close = ((i, j) for i in range(r) for j in range(i + 1, r) if sub[i][j] <= 3)
+    aux = graph_from_edges(r, close)
     for i in range(1, r):
-        _require(
-            any(d.d(anchors[i], anchors[j]) == 3 for j in range(i)),
-            f"anchor {anchors[i]} has no predecessor at tree-distance 3",
-        )
+        _require(3 in sub[i][:i], f"anchor {anchors[i]} has no predecessor at tree-distance 3")
     _require(is_connected(aux), "auxiliary graph is disconnected")
     return aux
-
-
-def _parent_array(tree: Graph, root: int) -> tuple[int, ...]:
-    parent = [-1] * tree.n
-    seen = bytearray(tree.n)
-    seen[root] = 1
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = u
-                stack.append(w)
-    return tuple(parent)
 
 
 def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> ConstructionTrace:
@@ -219,7 +197,13 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     _require(tree.degree(b0) == g.degree(b0) == Delta, "root degree not preserved")
 
     d_tree = all_pairs_distances(tree)
-    assignment, counts = contract_weights(anchors, tree, d_tree)
+    # in a tree, v's parent is its one neighbour a step closer to the root
+    to_root = d_tree.row(b0).tolist()
+    parent = tuple(
+        -1 if v == b0 else next(u for u in tree.adj[v] if to_root[u] < to_root[v])
+        for v in range(g.n)
+    )
+    assignment, counts = contract_weights(anchors, d_tree)
     for b in anchors:
         _require(assignment[b] == b, f"anchor {b} not assigned to itself")
         _require(
@@ -229,7 +213,7 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     _require(sum(counts.values()) == g.n, "contracted weights do not sum to the order")
     _require(counts[b0] >= Delta + 1, "root weight below Delta+1")
 
-    aux = auxiliary_graph(anchors, tree, d_tree)
+    aux = auxiliary_graph(anchors, d_tree)
     q = q_adjustment(g.n, Delta, delta)
 
     d_aux = all_pairs_distances(aux)
@@ -254,7 +238,7 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
         Delta=Delta,
         anchors=tuple(anchors),
         tree=tree,
-        parent=_parent_array(tree, b0),
+        parent=parent,
         nearest_anchor=assignment,
         weights=counts,
         aux=aux,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
@@ -21,7 +20,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .construction import bound_report
-from .graphs import Graph, graph_from_edges, is_connected, render_graph
+from .graphs import Graph, _distances_python, graph_from_edges, is_connected, render_graph
 from .weighted import heavy_majority_bound, heavy_minority_bound
 
 #: Default seed for every randomized corpus (overridable via --seed).
@@ -76,6 +75,15 @@ def _decode_edges(seq: Sequence[int], m: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _decode_adj(seq: Sequence[int], m: int) -> list[list[int]]:
+    """Adjacency lists of the decoded tree, without building a Graph."""
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for u, v in _decode_edges(seq, m):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def prufer_decode(seq: Sequence[int], m: int) -> Graph:
     """Labeled tree on ``m`` vertices for a sequence of length ``m - 2``."""
     if m < 1:
@@ -120,26 +128,6 @@ def enumerate_trees(m: int) -> Iterator[Graph]:
         raise ValueError(f"tree enumeration supports 1 <= m <= 8, got {m}")
     for seq in itertools.product(range(m), repeat=max(0, m - 2)):
         yield prufer_decode(seq, m)
-
-
-def _tree_distance_matrix(edges: list[tuple[int, int]], m: int) -> np.ndarray:
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    mat = np.zeros((m, m), dtype=np.int64)
-    for s in range(m):
-        dist = [-1] * m
-        dist[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    dq.append(w)
-        mat[s] = dist
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +235,7 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     med = np.empty((len(seqs), len(vectors)), dtype=np.int64)
     top = np.empty_like(med)
     for ti, seq in enumerate(seqs):
-        dist = _tree_distance_matrix(_decode_edges(seq, m), m)
+        dist = _distances_python(_decode_adj(seq, m))
         sigma = weights @ dist  # sigma[j, x] = weighted distance of vertex x
         med[ti] = sigma.min(axis=1)
         top[ti] = sigma.max(axis=1)
@@ -291,7 +279,7 @@ def iter_sweep_instances(max_total: int, max_order: int) -> Iterator[tuple]:
     """
     for m in range(1, max_order + 1):
         for ti, seq in enumerate(itertools.product(range(m), repeat=max(0, m - 2))):
-            dist = _tree_distance_matrix(_decode_edges(seq, m), m)
+            dist = _distances_python(_decode_adj(seq, m))
             tree_id = f"m{m}-{ti}"
             for total in range(m, max_total + 1):
                 for weights in _compositions(total, m):

@@ -9,12 +9,11 @@ heavy vertex.  All arithmetic is exact rational.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .graphs import DistanceOracle, Graph, ParseError, is_connected
+from .graphs import DistanceOracle, Graph, ParseError, _bfs, is_connected
 
 RationalLike = Fraction | int | str
 
@@ -134,26 +133,19 @@ def _assert_tree(t: Graph) -> None:
 
 
 def branch_weight(t: Graph, c: WeightFunction, v: int) -> Fraction:
-    """Largest total weight among the components of ``t - v`` (0 if none)."""
+    """Largest total weight among the components of ``t - v`` (0 if none).
+
+    The component holding neighbour ``u`` is every ``w`` closer to ``u``
+    than to ``v``, so one BFS per neighbour finds it.
+    """
     _assert_tree(t)
     _require_weights_on(t, c)
-    seen = bytearray(t.n)
-    seen[v] = 1
+    from_v = _bfs(t.adj, v)
     best = Fraction(0)
-    for root in t.adj[v]:
-        if seen[root]:
-            continue
-        comp_weight = Fraction(0)
-        dq = deque([root])
-        seen[root] = 1
-        while dq:
-            u = dq.popleft()
-            comp_weight += c[u]
-            for w in t.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    dq.append(w)
-        best = max(best, comp_weight)
+    for u in t.adj[v]:
+        from_u = _bfs(t.adj, u)
+        comp = sum((c[w] for w in range(t.n) if from_u[w] < from_v[w]), Fraction(0))
+        best = max(best, comp)
     return best
 
 

@@ -13,6 +13,18 @@ def p5_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture
+def no_apsp(monkeypatch):
+    """Fail if any all-pairs distance matrix is computed."""
+    from proxrem import cli, construction, invariants
+
+    def forbidden(g):
+        raise AssertionError("all-pairs distances computed")
+
+    for mod in (cli, invariants, construction):
+        monkeypatch.setattr(mod, "all_pairs_distances", forbidden)
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -42,7 +54,7 @@ class TestCompute:
         assert code == 0
         assert "proximity 3/2" in out
 
-    def test_disconnected_exits_2(self, capsys, tmp_path):
+    def test_disconnected_exits_2(self, capsys, tmp_path, no_apsp):
         f = tmp_path / "disc.edges"
         f.write_text("0 1\n2 3\n")
         code, _, err = _run(capsys, "compute", str(f))
@@ -95,11 +107,12 @@ class TestVerify:
         chains = doc["verification"]["proximity_chain"] + doc["verification"]["remoteness_chain"]
         assert chains and all(link["holds"] for link in chains)
 
-    def test_disconnected_exits_2(self, capsys, tmp_path):
+    def test_disconnected_exits_2(self, capsys, tmp_path, no_apsp):
         f = tmp_path / "disc.edges"
         f.write_text("0 1\n2 3\n")
         code, _, err = _run(capsys, "verify", str(f))
         assert code == 2
+        assert "disconnected" in err
 
 
 class TestExtremal:
@@ -191,6 +204,12 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_directory_path_exits_2(self, capsys, tmp_path, command):
+        code, _, err = _run(capsys, command, str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_failed_claim_exits_1(self, capsys, p5_file, monkeypatch):
         # force a failing verdict to pin the exit-code contract

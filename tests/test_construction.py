@@ -126,7 +126,7 @@ class TestSubOperations:
     def test_contract_weights_assigns_anchors_to_themselves(self):
         g = px.cycle_graph(9)
         trace = px.build_construction(g)
-        assignment, counts = px.contract_weights(trace.anchors, trace.tree)
+        assignment, counts = px.contract_weights(trace.anchors, px.all_pairs_distances(trace.tree))
         assert assignment == trace.nearest_anchor
         assert counts == trace.weights
         for b in trace.anchors:
@@ -135,7 +135,7 @@ class TestSubOperations:
     def test_auxiliary_graph_single_anchor(self):
         g = px.star_graph(3)
         trace = px.build_construction(g)
-        aux = px.auxiliary_graph(trace.anchors, trace.tree)
+        aux = px.auxiliary_graph(trace.anchors, px.all_pairs_distances(trace.tree))
         assert aux.n == 1 and aux.edge_count() == 0
 
     def test_q_adjustment_values(self):
@@ -240,9 +240,18 @@ class TestDistanceReuse:
     @settings(max_examples=40, deadline=None)
     def test_trace_distances_match_floyd_warshall(self, g):
         trace = px.build_construction(g)
-        assert trace.d_tree.matrix.tolist() == floyd_warshall(trace.tree)
+        fw_tree = floyd_warshall(trace.tree)
+        assert trace.d_tree.matrix.tolist() == fw_tree
         assert trace.d_aux.matrix.tolist() == floyd_warshall(trace.aux)
         assert trace.tree_summary == px.invariant_summary(trace.tree)
+        # parent[v] is v's tree neighbour one step closer to the root
+        b0 = trace.anchors[0]
+        assert trace.parent[b0] == -1
+        for v in range(g.n):
+            if v != b0:
+                p = trace.parent[v]
+                assert trace.tree.has_edge(v, p)
+                assert fw_tree[p][b0] == fw_tree[v][b0] - 1
 
     @pytest.mark.parametrize(
         "g",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,17 @@ class TestBasics:
         assert px.is_connected(px.path_graph(5))
         assert not px.is_connected(px.graph_from_edges(4, [(0, 1), (2, 3)]))
         assert px.is_connected(px.graph_from_edges(1, []))
+
+    @given(arbitrary_graphs())
+    @settings(max_examples=60)
+    def test_is_connected_matches_floyd_warshall(self, g):
+        assert px.is_connected(g) == all(x < INF for x in floyd_warshall(g)[0])
+
+    def test_bfs_kernel_is_the_only_bfs(self):
+        # a hand-rolled BFS needs a deque; only graphs._bfs may have one
+        src = Path(px.__file__).parent
+        with_deque = sorted(f.name for f in src.glob("*.py") if "deque" in f.read_text())
+        assert with_deque == ["graphs.py"]
 
     def test_set_distance(self):
         p5 = px.path_graph(5)
