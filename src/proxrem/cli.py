@@ -5,9 +5,15 @@ bounds, optionally with the certified inequality chains), ``extremal``
 (family generation and sharpness gaps), ``oracle`` (exhaustive sweeps).
 
 Exit codes: 0 success, 1 a verified claim failed (counterexample found),
-2 usage or input error, an unreadable path included.  Output is
-byte-identical for identical inputs and flags; ``--timings`` adds
-wall-clock data and is off by default so the default output stays
+2 usage or input error (an unreadable path, a disconnected graph or one
+above ``graphs.MAX_ORDER`` vertices included), 3 an internal error: any
+other exception, reported as one ``internal error:`` line on stderr so
+that a crash never reads as a counterexample.  ``verify --chain`` makes
+two all-pairs distance computations (G and the auxiliary graph F) and
+one O(n²) pass over the spanning tree.
+
+Output is byte-identical for identical inputs and flags; ``--timings``
+adds wall-clock data and is off by default so the default output stays
 deterministic.
 """
 
@@ -34,6 +40,7 @@ from . import report as rpt
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(doc: dict, timings: dict | None) -> None:
@@ -233,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"construction invariant failed: {exc}", file=sys.stderr)
         return EXIT_CLAIM_FAILED
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -25,6 +25,7 @@ from .graphs import (
     degree_stats,
     graph_from_edges,
     is_connected,
+    tree_distances,
 )
 from .invariants import InvariantSummary, classical_bounds, invariant_summary
 from .weighted import heavy_majority_bound, heavy_minority_bound
@@ -52,7 +53,9 @@ class ConstructionTrace:
 
     ``d_tree``, ``d_aux`` and ``tree_summary`` are the distances of T and
     F and the invariants of T, computed once here and read by the chain
-    certifiers; they take no part in equality or ``repr``.
+    certifiers; they take no part in equality or ``repr``.  ``d_tree``
+    comes from the O(n²) tree pass :func:`~proxrem.graphs.tree_distances`,
+    ``d_aux`` from :func:`~proxrem.graphs.all_pairs_distances`.
     """
 
     order: int
@@ -108,18 +111,9 @@ def _grow_anchor_tree(
         if at3.size == 0:
             break
         b = int(at3[0])
-        star = set(g.adj[b])
-        star.add(b)
-        connector: tuple[int, int] | None = None
-        for x in range(g.n):
-            if not in_tree[x]:
-                continue
-            for y in g.adj[x]:
-                if y in star:
-                    connector = (x, y)
-                    break
-            if connector is not None:
-                break
+        star = (b, *g.adj[b])
+        # the lexicographically smallest tree-to-star edge, read off the star side
+        connector = min(((x, y) for y in star for x in g.adj[y] if in_tree[x]), default=None)
         _require(connector is not None, f"no edge joins the tree to the star of {b}")
         add_star(b)
         edges.append(connector)  # type: ignore[arg-type]
@@ -196,7 +190,7 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     _require(tree.edge_count() == g.n - 1 and is_connected(tree), "result is not a spanning tree")
     _require(tree.degree(b0) == g.degree(b0) == Delta, "root degree not preserved")
 
-    d_tree = all_pairs_distances(tree)
+    d_tree = tree_distances(tree)
     # in a tree, v's parent is its one neighbour a step closer to the root
     to_root = d_tree.row(b0).tolist()
     parent = tuple(

@@ -25,6 +25,13 @@ INF: int = 2**31 - 1
 #: vs 434, tree 613 vs 414.  Trees cross near 25, denser graphs near 20.
 _SCIPY_MIN_ORDER = 25
 
+#: Largest order :func:`parse_graph` accepts.  ``verify --chain`` holds
+#: about 24·n² bytes at its peak (G's and T's int64 distance matrices plus
+#: scipy's float64 copy of G's), which is 2.4 GB at n = 10⁴.  A larger
+#: document is refused before :func:`graph_from_edges` allocates its n
+#: adjacency sets.
+MAX_ORDER = 10_000
+
 
 class ParseError(ValueError):
     """An edge-list document could not be parsed or validated."""
@@ -136,6 +143,8 @@ def parse_graph(text: str) -> Graph:
         n = head_n
     else:
         n = 1 + max(max(a, b) for _, a, b in edge_entries)
+    if n > MAX_ORDER:
+        raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
 
     edges: list[tuple[int, int]] = []
     for lineno, a, b in edge_entries:
@@ -218,6 +227,50 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
         mat = _distances_scipy(g.adj)
     else:
         mat = _distances_python(g.adj)
+    mat.setflags(write=False)
+    return DistanceOracle(mat)
+
+
+def tree_distances(t: Graph) -> DistanceOracle:
+    """Exact hop distances of a tree in one O(n²) pass, no shortest-path
+    search.
+
+    One BFS from vertex 0 gives depths, and v's parent is its one
+    neighbour a step shallower.  Subtree sizes are summed deepest first,
+    then preorder positions are handed out shallowest first, so that v's
+    subtree is the block ``pre[pos[v]:pos[v] + size[v]]``.  Row 0 is the
+    depth row; every other row, parents before children, is the parent's
+    row plus 1, minus 2 on v's subtree.  Raises ``ValueError`` unless
+    ``t`` is a tree.
+    """
+    n = t.n
+    depth = _bfs(t.adj, 0)
+    if t.edge_count() != n - 1 or INF in depth:
+        raise ValueError("tree distances need a tree")
+    below_root = sorted(range(1, n), key=depth.__getitem__)
+    parent = [-1] * n
+    for v in below_root:
+        up = depth[v] - 1
+        parent[v] = next(u for u in t.adj[v] if depth[u] == up)
+    size = [1] * n
+    for v in reversed(below_root):
+        size[parent[v]] += size[v]
+    pos = [0] * n
+    free = [1] * n  # next unassigned preorder position inside each block
+    for v in below_root:
+        p = parent[v]
+        pos[v] = free[p]
+        free[p] += size[v]
+        free[v] = pos[v] + 1
+    pre = np.empty(n, dtype=np.int64)
+    pre[pos] = np.arange(n)
+
+    mat = np.empty((n, n), dtype=np.int64)
+    mat[0] = depth
+    for v in below_root:
+        row = mat[v]
+        np.add(mat[parent[v]], 1, out=row)
+        row[pre[pos[v]:pos[v] + size[v]]] -= 2
     mat.setflags(write=False)
     return DistanceOracle(mat)
 

@@ -4,6 +4,7 @@ import pytest
 
 import proxrem as px
 from proxrem.cli import main
+from proxrem.graphs import MAX_ORDER
 
 
 @pytest.fixture
@@ -210,6 +211,37 @@ class TestUsage:
         code, _, err = _run(capsys, command, str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_order_above_cap_exits_2(self, capsys, tmp_path, command, no_apsp):
+        f = tmp_path / "p10001.edges"
+        f.write_text(px.render_graph(px.path_graph(MAX_ORDER + 1)))
+        code, out, err = _run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert "exceeds the limit" in err
+
+    def test_unexpected_exception_exits_3(self, capsys, p5_file, monkeypatch):
+        import proxrem.cli as cli_mod
+
+        def broken(g, include_chains=False, oracle=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "bound_report", broken)
+        code, out, err = _run(capsys, "verify", p5_file)
+        assert code == cli_mod.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_construction_error_still_exits_1(self, capsys, p5_file, monkeypatch):
+        import proxrem.cli as cli_mod
+
+        def broken(g, include_chains=False, oracle=None):
+            raise px.ConstructionError("star overlaps")
+
+        monkeypatch.setattr(cli_mod, "bound_report", broken)
+        code, _, err = _run(capsys, "verify", p5_file, "--chain")
+        assert code == 1
+        assert err.startswith("construction invariant failed:")
 
     def test_failed_claim_exits_1(self, capsys, p5_file, monkeypatch):
         # force a failing verdict to pin the exit-code contract

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 import proxrem as px
 from proxrem.construction import trace_to_json
+from proxrem.graphs import tree_distances
 
 from .conftest import connected_graphs, floyd_warshall, set_distance
 
@@ -218,23 +219,59 @@ class TestChains:
         assert all(l.holds for l in px.certify_remoteness_chain(g, trace))
 
 
+def _tree_by_documented_rule(g, anchors):
+    """T rebuilt from the anchor order alone: each anchor's star, joined by
+    the first tree-to-star edge found scanning tree vertices x upward from
+    0 (and x's sorted neighbours), then every leftover vertex attached to
+    its lowest-index core neighbour."""
+    in_tree = [False] * g.n
+    edges = []
+    for i, b in enumerate(anchors):
+        star = {b, *g.adj[b]}
+        if i:
+            edges.append(
+                next((x, y) for x in range(g.n) if in_tree[x] for y in g.adj[x] if y in star)
+            )
+        edges.extend((b, w) for w in g.adj[b])
+        for w in star:
+            in_tree[w] = True
+    for v in range(g.n):
+        if not in_tree[v]:
+            edges.append((min(w for w in g.adj[v] if in_tree[w]), v))
+    return px.graph_from_edges(g.n, edges)
+
+
+class TestAnchorTree:
+    @given(connected_graphs(max_order=14))
+    @settings(max_examples=80, deadline=None)
+    def test_tree_follows_documented_rule(self, g):
+        trace = px.build_construction(g)
+        assert trace.tree == _tree_by_documented_rule(g, trace.anchors)
+
+
 class TestDistanceReuse:
     def test_report_with_chains_computes_tree_and_aux_distances_once(self, monkeypatch):
         from proxrem import construction, invariants
 
-        calls = []
+        calls, tree_calls = [], []
 
         def counting(g):
             calls.append(g.n)
             return px.all_pairs_distances(g)
 
+        def counting_tree(t):
+            tree_calls.append(t.n)
+            return tree_distances(t)
+
         monkeypatch.setattr(construction, "all_pairs_distances", counting)
         monkeypatch.setattr(invariants, "all_pairs_distances", counting)
+        monkeypatch.setattr(construction, "tree_distances", counting_tree)
         g = px.cycle_graph(12)
         d = px.all_pairs_distances(g)
         report = px.bound_report(g, include_chains=True, oracle=d)
         assert report.all_hold()
-        assert calls == [12, 4]  # T, then F on the four anchors
+        assert calls == [4]  # F on the four anchors; T takes the tree pass
+        assert tree_calls == [12]
 
     @given(connected_graphs(max_order=12))
     @settings(max_examples=40, deadline=None)

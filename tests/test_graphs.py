@@ -5,9 +5,22 @@ import pytest
 from hypothesis import given, settings
 
 import proxrem as px
-from proxrem.graphs import INF, ParseError, _distances_python, _distances_scipy
+from proxrem.graphs import (
+    INF,
+    MAX_ORDER,
+    ParseError,
+    _distances_python,
+    _distances_scipy,
+    tree_distances,
+)
 
-from .conftest import arbitrary_graphs, connected_graphs, floyd_warshall, set_distance
+from .conftest import (
+    arbitrary_graphs,
+    connected_graphs,
+    floyd_warshall,
+    labeled_trees,
+    set_distance,
+)
 
 
 class TestParse:
@@ -50,6 +63,14 @@ class TestParse:
     def test_empty_document(self):
         with pytest.raises(ParseError, match="empty"):
             px.parse_graph("# nothing\n")
+
+    @pytest.mark.parametrize("text", ["100000000 0", "0 100000000"], ids=["header", "headerless"])
+    def test_order_above_cap_rejected(self, text):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            px.parse_graph(text)
+
+    def test_order_at_cap_accepted(self):
+        assert px.parse_graph(f"{MAX_ORDER} 0").n == MAX_ORDER
 
     @given(connected_graphs())
     def test_render_round_trip(self, g):
@@ -143,3 +164,31 @@ class TestDistances:
         a = px.all_pairs_distances(g).matrix
         b = px.all_pairs_distances(g).matrix
         assert (a == b).all()
+
+
+class TestTreeDistances:
+    @given(labeled_trees(max_order=12))
+    @settings(max_examples=80)
+    def test_matches_floyd_warshall(self, t):
+        d = tree_distances(t)
+        assert d.matrix.dtype == np.int64
+        assert d.matrix.tolist() == floyd_warshall(t)
+        assert not d.matrix.flags.writeable
+
+    def test_order_one(self):
+        assert tree_distances(px.graph_from_edges(1, [])).matrix.tolist() == [[0]]
+
+    @pytest.mark.parametrize(
+        "g",
+        [px.cycle_graph(4), px.graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])],
+        ids=["cycle", "n-1_edges_disconnected"],
+    )
+    def test_non_tree_rejected(self, g):
+        with pytest.raises(ValueError, match="tree"):
+            tree_distances(g)
+
+    @pytest.mark.parametrize(
+        "t", [px.path_graph(300), px.star_graph(299)], ids=["path", "star"]
+    )
+    def test_deep_and_shallow_trees_match_bfs(self, t):
+        assert (tree_distances(t).matrix == _distances_python(t.adj)).all()
