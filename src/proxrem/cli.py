@@ -26,15 +26,11 @@ import time
 from pathlib import Path
 
 from .construction import ConstructionError, bound_report
-from .extremal import ExtremalParams, extremal_graph, sharpness_report, valid_Deltas
-from .graphs import ParseError, all_pairs_distances, is_connected, parse_graph, render_graph
+from .extremal import ExtremalParams, extremal_graph, sharpness_report, sharpness_sweep
+# all_pairs_distances is not called here; perfbench's tracer test checks this binding
+from .graphs import ParseError, all_pairs_distances, is_connected, parse_graph, render_graph  # noqa: F401
 from .invariants import invariant_summary
-from .oracle import (
-    DEFAULT_SEED,
-    exhaustive_bound_check,
-    lemma_sweep,
-    parallel_map,
-)
+from .oracle import DEFAULT_SEED, exhaustive_bound_check, instance_csv_rows, lemma_sweep
 from . import report as rpt
 
 EXIT_OK = 0
@@ -76,7 +72,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g = _load_graph(args.input)
-    report = bound_report(g, include_chains=args.chain, oracle=all_pairs_distances(g))
+    report = bound_report(g, include_chains=args.chain)
     timings = {"seconds": time.perf_counter() - t0} if args.timings else None
     _emit(rpt.verify_document(g, report, args.input), timings)
     return EXIT_OK if report.all_hold() else EXIT_CLAIM_FAILED
@@ -85,15 +81,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         lo, hi = args.sweep
-        records = parallel_map(
-            sharpness_report,
-            [
-                ExtremalParams(n, args.delta, D)
-                for n in range(lo, hi + 1)
-                for D in valid_Deltas(n, args.delta)
-            ],
-            args.jobs,
-        )
+        records = sharpness_sweep(args.delta, lo, hi, jobs=args.jobs)
         rows = "\n".join(rpt.sharpness_csv_rows(records)) + "\n"
         if args.csv:
             Path(args.csv).write_text(rows)
@@ -127,8 +115,6 @@ def _cmd_oracle_lemma_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text("\n".join(rpt.sweep_csv_rows(report)) + "\n")
     if args.instances:
-        from .oracle import instance_csv_rows
-
         with open(args.instances, "w") as fh:
             for row in instance_csv_rows(args.max_n, args.max_order):
                 fh.write(row + "\n")

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphs import (
+    INF,
     DistanceOracle,
     Graph,
     all_pairs_distances,
@@ -28,7 +29,7 @@ from .graphs import (
     tree_distances,
 )
 from .invariants import InvariantSummary, classical_bounds, invariant_summary
-from .weighted import heavy_majority_bound, heavy_minority_bound
+from .weighted import any_vertex_bound, heavy_majority_bound, heavy_minority_bound, median_bound
 
 
 class ConstructionError(RuntimeError):
@@ -173,7 +174,7 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     if g.n < 2:
         raise ValueError("construction needs at least two vertices")
     d = oracle if oracle is not None else all_pairs_distances(g)
-    if not d.all_finite():
+    if INF in d.row(0):
         raise ValueError("construction needs a connected graph")
     delta, Delta = degree_stats(g)
 
@@ -317,16 +318,12 @@ def certify_proximity_chain(
     n, delta, Delta = trace.order, trace.delta, trace.Delta
     sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f = _sigma_values(trace, trace.w0)
 
-    big_n_q = Fraction(n + trace.q)
     big_n_d = Fraction(n + delta)
     heavy = Fraction(Delta + 1)
     floor = Fraction(delta + 1)
-    if heavy > big_n_q / 2:
-        adjusted_bound = heavy_majority_bound(big_n_q, heavy, floor)
-    else:
-        adjusted_bound = heavy_minority_bound(big_n_q, heavy, floor)
-    large_delta = 2 * (Delta + 1) > n
-    if large_delta:
+    adjusted_bound = median_bound(n + trace.q, heavy, floor)
+    # the paper splits the q-free form on n, not on heavy > total/2
+    if 2 * (Delta + 1) > n:
         q_free_bound = heavy_majority_bound(big_n_d, heavy, floor)
         merged_bound = Fraction((n - Delta) ** 2, 2 * (delta + 1)) + Fraction(3 * (n - 1), 2)
     else:
@@ -369,11 +366,8 @@ def certify_remoteness_chain(
         trace, trace.nearest_anchor[far]
     )
 
-    big_n_q = Fraction(n + trace.q)
-    heavy = Fraction(Delta + 1)
-    floor = Fraction(delta + 1)
-    adjusted_bound = (big_n_q - heavy) * (big_n_q + heavy - floor) / (2 * floor)
-    q_free_bound = Fraction((n + delta - Delta - 1) * (n + Delta), 2 * (delta + 1))
+    adjusted_bound = any_vertex_bound(n + trace.q, Delta + 1, delta + 1)
+    q_free_bound = any_vertex_bound(n + delta, Delta + 1, delta + 1)
     merged_bound = Fraction(n * n - Delta * Delta, 2 * (delta + 1)) + (n - 1)
     bounds = degree_range_bounds(n, delta, Delta)
 
@@ -417,13 +411,9 @@ class BoundReport:
         return ok
 
 
-def bound_report(
-    g: Graph,
-    include_chains: bool = False,
-    oracle: DistanceOracle | None = None,
-) -> BoundReport:
+def bound_report(g: Graph, include_chains: bool = False) -> BoundReport:
     """Evaluate all six bounds (and optionally both chains) on ``g``."""
-    d = oracle if oracle is not None else all_pairs_distances(g)
+    d = all_pairs_distances(g)
     inv = invariant_summary(g, d)
     delta, Delta = degree_stats(g)
     cb = classical_bounds(g.n, delta)

@@ -85,9 +85,6 @@ class DistanceOracle:
     def row(self, v: int) -> np.ndarray:
         return self.matrix[v]
 
-    def all_finite(self) -> bool:
-        return bool((self.matrix < INF).all())
-
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated Graph of order ``n`` from an edge iterable.

@@ -42,7 +42,7 @@ def invariant_summary(g: Graph, oracle: DistanceOracle | None = None) -> Invaria
     if g.n < 2:
         raise ValueError("invariants need at least two vertices")
     d = oracle if oracle is not None else all_pairs_distances(g)
-    if not d.all_finite():
+    if INF in d.row(0):
         raise ValueError("invariants undefined on a disconnected graph")
     sums = d.matrix.sum(axis=1)
     trans = tuple(int(s) for s in sums)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .construction import bound_report
 from .graphs import Graph, _distances_python, graph_from_edges, is_connected, render_graph
-from .weighted import heavy_majority_bound, heavy_minority_bound
+from .weighted import any_vertex_bound, median_bound
 
 #: Default seed for every randomized corpus (overridable via --seed).
 DEFAULT_SEED = 1729
@@ -203,15 +203,27 @@ def sweep_instance_count(max_total: int, max_order: int) -> tuple[int, int, int]
     return trees, weightings, instances
 
 
-def _median_bound(total: int, heavy: int) -> Fraction:
-    n, h, k = Fraction(total), Fraction(heavy), Fraction(1)
-    if h > n / 2:
-        return heavy_majority_bound(n, h, k)
-    return heavy_minority_bound(n, h, k)
+def _order_sigmas(
+    m: int, max_total: int
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+    """Every labeled tree of order ``m`` against every weight vector.
 
-
-def _any_bound(total: int, heavy: int) -> Fraction:
-    return Fraction((total - heavy) * (total + heavy - 1), 2)
+    Returns the Prufer sequences (product order), the weight vectors
+    (rows ordered by total, then composition), and the minimum and the
+    maximum weighted distance, ``med[ti, j]`` and ``top[ti, j]``, of tree
+    ``ti`` under vector ``j``.  The sweep and the instance CSV both read
+    these matrices; nothing else enumerates trees x weight vectors.
+    """
+    vectors = [w for total in range(m, max_total + 1) for w in _compositions(total, m)]
+    weights = np.array(vectors, dtype=np.int64)  # (V, m)
+    seqs = list(itertools.product(range(m), repeat=max(0, m - 2)))
+    med = np.empty((len(seqs), len(vectors)), dtype=np.int64)
+    top = np.empty_like(med)
+    for ti, seq in enumerate(seqs):
+        sigma = weights @ _distances_python(_decode_adj(seq, m))  # sigma[j, x]: vertex x
+        med[ti] = sigma.min(axis=1)
+        top[ti] = sigma.max(axis=1)
+    return seqs, weights, med, top
 
 
 def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
@@ -222,23 +234,9 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     argmax instance retained for counterexample dumps).
     """
     m, max_total = args
-    vectors: list[tuple[int, ...]] = []
-    for total in range(m, max_total + 1):
-        vectors.extend(_compositions(total, m))
-    if not vectors:
-        return {}, []
-    weights = np.array(vectors, dtype=np.int64)        # (V, m)
+    seqs, weights, med, top = _order_sigmas(m, max_total)
     totals = weights.sum(axis=1)
     wmax = weights.max(axis=1)
-
-    seqs = list(itertools.product(range(m), repeat=max(0, m - 2)))
-    med = np.empty((len(seqs), len(vectors)), dtype=np.int64)
-    top = np.empty_like(med)
-    for ti, seq in enumerate(seqs):
-        dist = _distances_python(_decode_adj(seq, m))
-        sigma = weights @ dist  # sigma[j, x] = weighted distance of vertex x
-        med[ti] = sigma.min(axis=1)
-        top[ti] = sigma.max(axis=1)
 
     observed: dict[tuple[int, int], tuple[int, int]] = {}
     violations: list[SweepViolation] = []
@@ -251,8 +249,8 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
             any_obs = int(top[:, cols].max())
             observed[(total, heavy)] = (med_obs, any_obs)
             for kind, obs, bound, mat in (
-                ("median", med_obs, _median_bound(total, heavy), med),
-                ("any", any_obs, _any_bound(total, heavy), top),
+                ("median", med_obs, median_bound(total, heavy, 1), med),
+                ("any", any_obs, any_vertex_bound(total, heavy, 1), top),
             ):
                 if obs > bound:
                     flat = int(np.argmax(mat[:, cols]))
@@ -276,27 +274,28 @@ def iter_sweep_instances(max_total: int, max_order: int) -> Iterator[tuple]:
 
     Yields ``(tree_id, weights, median_sigma, bound, slack)`` where the
     bound is taken at the binding heavy threshold (the maximum weight).
+    Rows come in sweep order: order, Prufer sequence, total, composition.
     """
-    for m in range(1, max_order + 1):
-        for ti, seq in enumerate(itertools.product(range(m), repeat=max(0, m - 2))):
-            dist = _distances_python(_decode_adj(seq, m))
+    bounds: dict[tuple[int, int], Fraction] = {}
+    for m in range(1, min(max_order, max_total) + 1):
+        seqs, weights, med, _ = _order_sigmas(m, max_total)
+        cols = []
+        for j, w in enumerate(weights.tolist()):
+            key = (sum(w), max(w))
+            if key[1] >= 2:
+                if key not in bounds:
+                    bounds[key] = median_bound(*key, 1)
+                cols.append((j, tuple(w), bounds[key]))
+        for ti, row in enumerate(med.tolist()):
             tree_id = f"m{m}-{ti}"
-            for total in range(m, max_total + 1):
-                for weights in _compositions(total, m):
-                    heavy = max(weights)
-                    if heavy < 2:
-                        continue
-                    w = np.array(weights, dtype=np.int64)
-                    sigma = w @ dist
-                    med = int(sigma.min())
-                    bound = _median_bound(total, heavy)
-                    yield tree_id, weights, med, bound, bound - med
+            for j, w, bound in cols:
+                yield tree_id, w, row[j], bound, bound - row[j]
 
 
 def instance_csv_rows(max_total: int, max_order: int) -> Iterator[str]:
     yield "tree_id,weights,median_sigma,bound,slack"
     for tree_id, weights, med, bound, slack in iter_sweep_instances(max_total, max_order):
-        wtxt = "|".join(str(x) for x in weights)
+        wtxt = "|".join(map(str, weights))
         yield f"{tree_id},{wtxt},{med},{bound},{slack}"
 
 
@@ -316,7 +315,7 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
             f"sweep budget exceeded: max_total <= 9 and max_order <= 7 required "
             f"({instances} instances requested, budget {SWEEP_BUDGET})"
         )
-    shards = [(m, max_total) for m in range(1, max_order + 1)]
+    shards = [(m, max_total) for m in range(1, min(max_order, max_total) + 1)]
     results = parallel_map(_sweep_order, shards, jobs)
 
     merged: dict[tuple[int, int], tuple[int, int]] = {}
@@ -334,9 +333,9 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
         SweepRecord(
             total=total,
             heavy=heavy,
-            median_bound=_median_bound(total, heavy),
+            median_bound=median_bound(total, heavy, 1),
             median_observed=obs[0],
-            any_bound=_any_bound(total, heavy),
+            any_bound=any_vertex_bound(total, heavy, 1),
             any_observed=obs[1],
         )
         for (total, heavy), obs in sorted(merged.items())

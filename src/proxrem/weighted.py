@@ -204,22 +204,35 @@ def heavy_minority_bound(total: Fraction, heavy: Fraction, floor: Fraction) -> F
     return (total * total - 2 * heavy * heavy) / (4 * floor) + (total + heavy) / 2
 
 
-def median_weight_distance_bound(p: WeightProfile) -> Fraction:
+def median_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
     """Upper bound on the weighted distance of a weighted-median vertex.
 
     Case split at ``heavy > total/2``: the heavy-majority form is tight
     (attained by :func:`witness_path`); the heavy-minority form is an
-    upper bound only.
+    upper bound only.  Arguments become ``Fraction`` first, so the result
+    is exact for plain ints too.
     """
-    if p.heavy > p.total / 2:
-        return heavy_majority_bound(p.total, p.heavy, p.floor)
-    return heavy_minority_bound(p.total, p.heavy, p.floor)
+    n, h, k = Fraction(total), Fraction(heavy), Fraction(floor)
+    if h > n / 2:
+        return heavy_majority_bound(n, h, k)
+    return heavy_minority_bound(n, h, k)
+
+
+def any_vertex_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
+    """Upper bound ``(N-L)(N+L-k) / (2k)`` on the weighted distance of an
+    arbitrary vertex; attained by the far end of :func:`witness_path`."""
+    n, h, k = Fraction(total), Fraction(heavy), Fraction(floor)
+    return (n - h) * (n + h - k) / (2 * k)
+
+
+def median_weight_distance_bound(p: WeightProfile) -> Fraction:
+    """:func:`median_bound` of a validated profile."""
+    return median_bound(p.total, p.heavy, p.floor)
 
 
 def max_weight_distance_bound(p: WeightProfile) -> Fraction:
-    """Upper bound ``(N-L)(N+L-k) / (2k)`` on the weighted distance of an
-    arbitrary vertex; attained by the far end of :func:`witness_path`."""
-    return (p.total - p.heavy) * (p.total + p.heavy - p.floor) / (2 * p.floor)
+    """:func:`any_vertex_bound` of a validated profile."""
+    return any_vertex_bound(p.total, p.heavy, p.floor)
 
 
 WitnessMode = Literal["proximity", "remoteness"]

@@ -5,6 +5,7 @@ import pytest
 import proxrem as px
 from proxrem.cli import main
 from proxrem.graphs import MAX_ORDER
+from proxrem.oracle import instance_csv_rows
 
 
 @pytest.fixture
@@ -191,12 +192,13 @@ class TestOracle:
 
     def test_instances_csv_file(self, capsys, tmp_path):
         dest = tmp_path / "inst.csv"
-        code, _, _ = _run(
-            capsys, "oracle", "lemma-sweep", "--max-n", "5", "--max-order", "3",
-            "--instances", str(dest),
-        )
+        args = ("oracle", "lemma-sweep", "--max-n", "5", "--max-order", "3")
+        code, out, _ = _run(capsys, *args, "--instances", str(dest))
         assert code == 0
         assert dest.read_text().startswith("tree_id,weights,")
+        assert dest.read_text() == "".join(row + "\n" for row in instance_csv_rows(5, 3))
+        # the CSV goes to the file only; stdout is the same as without it
+        assert (code, out) == _run(capsys, *args)[:2]
 
 
 class TestUsage:
@@ -223,7 +225,7 @@ class TestUsage:
     def test_unexpected_exception_exits_3(self, capsys, p5_file, monkeypatch):
         import proxrem.cli as cli_mod
 
-        def broken(g, include_chains=False, oracle=None):
+        def broken(g, include_chains=False):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_mod, "bound_report", broken)
@@ -235,7 +237,7 @@ class TestUsage:
     def test_construction_error_still_exits_1(self, capsys, p5_file, monkeypatch):
         import proxrem.cli as cli_mod
 
-        def broken(g, include_chains=False, oracle=None):
+        def broken(g, include_chains=False):
             raise px.ConstructionError("star overlaps")
 
         monkeypatch.setattr(cli_mod, "bound_report", broken)
@@ -249,8 +251,8 @@ class TestUsage:
 
         real = cli_mod.bound_report
 
-        def sabotage(g, include_chains=False, oracle=None):
-            report = real(g, include_chains=include_chains, oracle=oracle)
+        def sabotage(g, include_chains=False):
+            report = real(g, include_chains=include_chains)
             report.holds["remoteness_order"] = False
             return report
 

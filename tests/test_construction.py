@@ -267,10 +267,9 @@ class TestDistanceReuse:
         monkeypatch.setattr(invariants, "all_pairs_distances", counting)
         monkeypatch.setattr(construction, "tree_distances", counting_tree)
         g = px.cycle_graph(12)
-        d = px.all_pairs_distances(g)
-        report = px.bound_report(g, include_chains=True, oracle=d)
+        report = px.bound_report(g, include_chains=True)
         assert report.all_hold()
-        assert calls == [4]  # F on the four anchors; T takes the tree pass
+        assert calls == [12, 4]  # G, then F on the four anchors; T takes the tree pass
         assert tree_calls == [12]
 
     @given(connected_graphs(max_order=12))

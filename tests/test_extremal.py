@@ -129,3 +129,4 @@ class TestSharpness:
         records = px.sharpness_sweep(3, 16, 28)
         assert len(records) == sum(len(valid_Deltas(n, 3)) for n in range(16, 29))
         assert all(r.within_limits for r in records)
+        assert px.sharpness_sweep(3, 16, 28, jobs=2) == records

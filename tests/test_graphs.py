@@ -131,7 +131,9 @@ class TestDistances:
         g = px.graph_from_edges(4, [(0, 1), (2, 3)])
         d = px.all_pairs_distances(g)
         assert d.d(0, 2) == INF
-        assert not d.all_finite()
+        assert d.matrix.tolist() == [
+            [0, 1, INF, INF], [1, 0, INF, INF], [INF, INF, 0, 1], [INF, INF, 1, 0]
+        ]
 
     @given(arbitrary_graphs())
     @settings(max_examples=60)

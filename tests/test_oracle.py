@@ -14,7 +14,7 @@ from proxrem.oracle import (
     sweep_instance_count,
 )
 
-from .conftest import labeled_trees
+from .conftest import floyd_warshall, labeled_trees
 
 
 class TestPrufer:
@@ -118,6 +118,30 @@ class TestLemmaSweep:
         assert len(rows) - 1 == expected
         for _, _, med, bound, slack in iter_sweep_instances(4, 3):
             assert med <= bound and slack >= 0
+
+    def test_instance_rows_match_independent_rebuild(self):
+        # trees from prufer_decode, distances from Floyd-Warshall, the
+        # unit-floor median bound written out, compositions by filtering
+        rows = ["tree_id,weights,median_sigma,bound,slack"]
+        for m in range(1, 5):
+            for ti, seq in enumerate(itertools.product(range(m), repeat=max(0, m - 2))):
+                dist = floyd_warshall(px.prufer_decode(seq, m))
+                for total in range(m, 7):
+                    for w in itertools.product(range(1, total + 1), repeat=m):
+                        heavy = max(w)
+                        if sum(w) != total or heavy < 2:
+                            continue
+                        med = min(sum(c * d for c, d in zip(w, row)) for row in dist)
+                        if 2 * heavy > total:
+                            bound = Fraction((total - heavy) * (total - heavy + 1), 2)
+                        else:
+                            bound = Fraction(total * total - 2 * heavy * heavy, 4) + Fraction(
+                                total + heavy, 2
+                            )
+                        wtxt = "|".join(map(str, w))
+                        rows.append(f"m{m}-{ti},{wtxt},{med},{bound},{bound - med}")
+        assert len(rows) == 1 + 300
+        assert list(instance_csv_rows(6, 4)) == rows
 
 
 class TestRandomSampler:

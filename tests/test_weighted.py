@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxrem as px
-from proxrem.weighted import WeightProfile
+from proxrem.weighted import WeightProfile, any_vertex_bound, median_bound
 
 from .conftest import labeled_trees, rational_weights
 
@@ -152,6 +152,15 @@ class TestProfileBounds:
         assert px.max_weight_distance_bound(_wp(5, 3)) == 7
         assert px.max_weight_distance_bound(_wp(4, 4)) == 0
         assert px.max_weight_distance_bound(_wp(10, 6, 2)) == 14
+
+    def test_bare_forms_exact_for_ints(self):
+        # with plain ints (5-3)*(5-3+1)/(2*1) would be the float 3.0
+        assert median_bound(5, 3, 1) == 3 and any_vertex_bound(5, 3, 1) == 7
+        for total in range(1, 9):
+            for heavy in range(1, total + 1):
+                for floor in range(1, 4):
+                    for form in (median_bound, any_vertex_bound):
+                        assert type(form(total, heavy, floor)) is Fraction
 
     def test_witness_tightness(self):
         for total, heavy, floor in [(5, 3, 1), (9, 5, 1), (10, 6, 2), (4, 4, 1)]:
