@@ -18,18 +18,45 @@ import numpy as np
 #: stay exact in int64 arithmetic.
 INF: int = 2**31 - 1
 
-#: Below this order, pure-Python BFS beats the scipy round-trip.  Best of
-#: seven, 2-core Xeon, Python 3.11, scipy 1.17 (Python vs scipy, µs):
-#: n=15 random 134 vs 247, tree 95 vs 240; n=20 random 225 vs 192, tree
-#: 172 vs 277; n=25 random 623 vs 359, tree 290 vs 271; n=40 random 1316
-#: vs 434, tree 613 vs 414.  Trees cross near 25, denser graphs near 20.
-_SCIPY_MIN_ORDER = 25
+#: Below this order, Python BFS rows beat both numpy backends.  Mean µs of
+#: ``all_pairs_distances`` over 8 random graphs, 2-core Xeon, Python 3.11,
+#: numpy 2.4 (Python rows vs numpy backend): n=20 tree 90 vs 107, sparse
+#: 118 vs 80, G(n, 0.3) 161 vs 70; n=24 tree 189 vs 187, sparse 195 vs 110,
+#: G(n, 0.3) 251 vs 78.  Trees cross near 25, denser graphs near 15.
+_NUMPY_MIN_ORDER = 25
+
+#: The bit-parallel kernel runs when ``2·ecc(0)``, which bounds both the
+#: diameter and its level count, is at most this; the bound also keeps its
+#: uint8 counters exact.  A level costs O((2m + 8n)·⌈n/64⌉) word operations
+#: (about 5 ms at n = 2000), while scipy's cost depends on the graph's
+#: shape more than on its diameter (160–1060 ms at n = 2000).  Measured
+#: crossover diameters, same machine: about 15 on the dense extremal
+#: family at n ≤ 120, 27 on a 4×25 grid, 80–130 on grids of order
+#: 1000–2000.  With the cap at 32: the eight ``verify-large`` graphs (seeds
+#: 1729 and 7) take 39–101 ms against 731–1059 ms; 320 random graphs of
+#: order 25–60 take 54 ms against 233 ms; of the 1,641 ``extremal --sweep
+#: 16 120`` graphs, the 513 sent to the kernel take 0.69 s against 1.07 s,
+#: and the 1,128 left on scipy would take 2.80 s against 1.63 s.  Paths,
+#: cycles and ladders of order 2000 stay on scipy, which is 19–36× faster
+#: there, 48× on the extremal graph (2000, 3, 120).
+_BITSET_MAX_LEVELS = 32
+
+#: Below this order :func:`tree_distances` stacks Python BFS rows instead
+#: of its numpy pass, which pays about 4 µs per row in call overhead.
+#: Mean µs per tree, best of 15 over 200 random Prufer trees (numpy pass
+#: vs Python rows): n=7 54 vs 34, n=14 76 vs 63, n=18 90 vs 85, n=20 107
+#: vs 102, n=22 90 vs 125, n=28 110 vs 181.
+_TREE_PASS_MIN_ORDER = 20
 
 #: Largest order :func:`parse_graph` accepts.  ``verify --chain`` holds
-#: about 24·n² bytes at its peak (G's and T's int64 distance matrices plus
-#: scipy's float64 copy of G's), which is 2.4 GB at n = 10⁴.  A larger
-#: document is refused before :func:`graph_from_edges` allocates its n
-#: adjacency sets.
+#: about 19.5·n² bytes at its peak by ``tracemalloc`` (n = 1000 and 2000,
+#: mean degree 3 on the bitset path and a 10-wide grid on the scipy path):
+#: G's and T's int64 distance matrices, 16·n², plus the anchor-column
+#: temporaries of ``contract_weights``, 16·n·r for r anchors.  G's
+#: distances peak alone, before T exists, at 9.4·n² on the bitset path
+#: and 16·n² on the scipy path (its float64 result plus the int64 copy).
+#: That is about 2 GB at n = 10⁴.  A larger document is refused before
+#: :func:`graph_from_edges` allocates its n adjacency sets.
 MAX_ORDER = 10_000
 
 
@@ -177,7 +204,7 @@ def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int]:
     """Hop distances from ``s``, ``INF`` where unreachable.
 
     The one hand-rolled BFS in the package; every other distance comes
-    from here or from the scipy backend.
+    from here, from the bit-parallel kernel or from the scipy backend.
     """
     dist = [INF] * len(adj)
     dist[s] = 0
@@ -196,17 +223,54 @@ def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array([_bfs(adj, s) for s in range(len(adj))], dtype=np.int64)
 
 
+def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the adjacency lists, int64."""
+    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adj], out=indptr[1:])
+    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """Multi-source BFS from every vertex at once, 64 sources per word.
+
+    Bit s of ``unseen[v]`` is set while source s has not reached v; each
+    level ORs the frontier rows of v's neighbours, and every level at
+    which a bit is still unseen adds 1 to that cell, so the cell ends as
+    the hop distance.  ``reduceat`` misreads empty segments, so every
+    vertex needs a neighbour: the caller passes connected graphs of order
+    at least 2 only.  The uint8 counter holds any diameter up to 255; the
+    dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS`` here.
+    """
+    n = len(adj)
+    indptr, indices = _csr(adj)
+    starts = indptr[:-1]
+    words = -(-n // 64)
+    src = np.arange(n)
+    # little-endian words, so that unpackbits(bitorder="little") of a row
+    # lists the sources in order on any host
+    frontier = np.zeros((n, words), dtype="<u8")
+    frontier[src, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
+    unseen = ~frontier
+    acc = np.zeros((n, 64 * words), dtype=np.uint8)
+    while True:
+        nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        nxt &= unseen
+        if not nxt.any():
+            break
+        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
+        unseen ^= nxt
+        frontier = nxt
+    return acc[:, :n].astype(np.int64)
+
+
 def _distances_scipy(adj: tuple[tuple[int, ...], ...]) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     n = len(adj)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, a in enumerate(adj):
-        indptr[i + 1] = indptr[i] + len(a)
-    total = int(indptr[-1])
-    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=total)
-    data = np.ones(total, dtype=np.int8)
+    indptr, indices = _csr(adj)
+    data = np.ones(len(indices), dtype=np.int8)
     csr = csr_matrix((data, indices, indptr), shape=(n, n))
     # adjacency is symmetric, so directed traversal is equivalent and cheaper
     dist = dijkstra(csr, directed=True, unweighted=True)
@@ -217,13 +281,18 @@ def _distances_scipy(adj: tuple[tuple[int, ...], ...]) -> np.ndarray:
 def all_pairs_distances(g: Graph) -> DistanceOracle:
     """BFS hop distances from every source.
 
-    Dispatches to a scipy backend for larger graphs; both backends produce
-    the identical integer matrix (unit tests cross-check them).
+    Picks one of three backends, which produce the identical integer
+    matrix (unit tests cross-check them): Python BFS rows below order
+    ``_NUMPY_MIN_ORDER``; the bit-parallel kernel when twice the
+    eccentricity of vertex 0, which bounds the diameter, is at most
+    ``_BITSET_MAX_LEVELS``; scipy otherwise, disconnected graphs included.
     """
-    if g.n >= _SCIPY_MIN_ORDER:
-        mat = _distances_scipy(g.adj)
-    else:
+    if g.n < _NUMPY_MIN_ORDER:
         mat = _distances_python(g.adj)
+    elif 2 * max(_bfs(g.adj, 0)) <= _BITSET_MAX_LEVELS:
+        mat = _distances_bitset(g.adj)
+    else:
+        mat = _distances_scipy(g.adj)
     mat.setflags(write=False)
     return DistanceOracle(mat)
 
@@ -237,13 +306,18 @@ def tree_distances(t: Graph) -> DistanceOracle:
     then preorder positions are handed out shallowest first, so that v's
     subtree is the block ``pre[pos[v]:pos[v] + size[v]]``.  Row 0 is the
     depth row; every other row, parents before children, is the parent's
-    row plus 1, minus 2 on v's subtree.  Raises ``ValueError`` unless
+    row plus 1, minus 2 on v's subtree.  Below ``_TREE_PASS_MIN_ORDER``
+    the rows are Python BFS rows instead.  Raises ``ValueError`` unless
     ``t`` is a tree.
     """
     n = t.n
     depth = _bfs(t.adj, 0)
     if t.edge_count() != n - 1 or INF in depth:
         raise ValueError("tree distances need a tree")
+    if n < _TREE_PASS_MIN_ORDER:
+        mat = _distances_python(t.adj)
+        mat.setflags(write=False)
+        return DistanceOracle(mat)
     below_root = sorted(range(1, n), key=depth.__getitem__)
     parent = [-1] * n
     for v in below_root:

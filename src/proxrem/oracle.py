@@ -269,34 +269,30 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     return observed, violations
 
 
-def iter_sweep_instances(max_total: int, max_order: int) -> Iterator[tuple]:
-    """Per-(tree, weight vector) rows for the instance-level CSV.
+def instance_csv_rows(max_total: int, max_order: int) -> Iterator[str]:
+    """The per-instance CSV: one row per (tree, weight vector), in sweep
+    order (order, Prufer sequence, total, composition), whose maximum
+    weight is at least 2.
 
-    Yields ``(tree_id, weights, median_sigma, bound, slack)`` where the
-    bound is taken at the binding heavy threshold (the maximum weight).
-    Rows come in sweep order: order, Prufer sequence, total, composition.
+    The bound is :func:`~proxrem.weighted.median_bound` at the binding
+    heavy threshold, the maximum weight.  It is fixed per column, ``P/Q``
+    in lowest terms, so each row's slack ``P/Q - med`` is ``(P - med·Q)/Q``,
+    again in lowest terms, and is formatted from integers.
     """
-    bounds: dict[tuple[int, int], Fraction] = {}
+    yield "tree_id,weights,median_sigma,bound,slack"
     for m in range(1, min(max_order, max_total) + 1):
-        seqs, weights, med, _ = _order_sigmas(m, max_total)
+        _, weights, med, _ = _order_sigmas(m, max_total)
         cols = []
         for j, w in enumerate(weights.tolist()):
-            key = (sum(w), max(w))
-            if key[1] >= 2:
-                if key not in bounds:
-                    bounds[key] = median_bound(*key, 1)
-                cols.append((j, tuple(w), bounds[key]))
+            if max(w) >= 2:
+                bound = median_bound(sum(w), max(w), 1)
+                den = "" if bound.denominator == 1 else f"/{bound.denominator}"
+                cols.append((j, "|".join(map(str, w)), bound, bound.numerator, bound.denominator, den))
         for ti, row in enumerate(med.tolist()):
             tree_id = f"m{m}-{ti}"
-            for j, w, bound in cols:
-                yield tree_id, w, row[j], bound, bound - row[j]
-
-
-def instance_csv_rows(max_total: int, max_order: int) -> Iterator[str]:
-    yield "tree_id,weights,median_sigma,bound,slack"
-    for tree_id, weights, med, bound, slack in iter_sweep_instances(max_total, max_order):
-        wtxt = "|".join(map(str, weights))
-        yield f"{tree_id},{wtxt},{med},{bound},{slack}"
+            for j, wtxt, bound, p, q, den in cols:
+                x = row[j]
+                yield f"{tree_id},{wtxt},{x},{bound},{p - x * q}{den}"
 
 
 def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaSweepReport:

@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +120,27 @@ class TestVerify:
         code, _, err = _run(capsys, "verify", str(f))
         assert code == 2
         assert "disconnected" in err
+
+    def test_chain_on_sparse_graph_never_imports_scipy(self, tmp_path):
+        # a random recursive tree plus chords: order 500, small diameter,
+        # so G and the auxiliary graph both take the bit-parallel kernel
+        rng = random.Random(500)
+        edges = [(rng.randrange(v), v) for v in range(1, 500)]
+        edges += [(rng.randrange(500), rng.randrange(500)) for _ in range(500)]
+        f = tmp_path / "sparse500.edges"
+        f.write_text(px.render_graph(px.graph_from_edges(500, [(u, v) for u, v in edges if u != v])))
+        probe = (
+            "import sys\n"
+            "from proxrem.cli import main\n"
+            f"code = main(['verify', '--chain', {str(f)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)\n"
+        )
+        src = str(Path(px.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verification"]["all_hold"] is True
+        assert proc.stderr == "0 []\n"
 
 
 class TestExtremal:

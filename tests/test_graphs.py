@@ -3,12 +3,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxrem as px
+from proxrem import graphs
 from proxrem.graphs import (
     INF,
     MAX_ORDER,
     ParseError,
+    _distances_bitset,
     _distances_python,
     _distances_scipy,
     tree_distances,
@@ -107,6 +110,12 @@ class TestBasics:
         with_deque = sorted(f.name for f in src.glob("*.py") if "deque" in f.read_text())
         assert with_deque == ["graphs.py"]
 
+    def test_scipy_only_in_graphs(self):
+        # the scipy backend is the package's one use of scipy
+        src = Path(px.__file__).parent
+        with_scipy = sorted(f.name for f in src.glob("*.py") if "scipy" in f.read_text())
+        assert with_scipy == ["graphs.py"]
+
     def test_set_distance(self):
         p5 = px.path_graph(5)
         assert set_distance(p5, 4, {0, 1}) == 3
@@ -156,10 +165,14 @@ class TestDistances:
         for w in range(g.n):
             assert (m <= m[:, w : w + 1] + m[w : w + 1, :]).all()
 
-    @given(arbitrary_graphs(max_order=60))
+    @given(st.one_of(arbitrary_graphs(max_order=60), connected_graphs(max_order=60)))
     @settings(max_examples=30, deadline=None)
     def test_backends_identical(self, g):
-        assert (_distances_python(g.adj) == _distances_scipy(g.adj)).all()
+        expected = _distances_python(g.adj)
+        assert (_distances_scipy(g.adj) == expected).all()
+        # the bit-parallel kernel takes connected graphs of order >= 2 only
+        if g.n >= 2 and px.is_connected(g):
+            assert (_distances_bitset(g.adj) == expected).all()
 
     def test_repeated_runs_identical(self):
         g = px.cycle_graph(50)
@@ -168,8 +181,80 @@ class TestDistances:
         assert (a == b).all()
 
 
+WORD_BOUNDARY_ORDERS = [63, 64, 65, 127, 128, 129]
+
+
+def _raise(*_):
+    raise AssertionError("backend not chosen by the rule was called")
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+class TestBitsetKernel:
+    @given(connected_graphs(max_order=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_floyd_warshall(self, g):
+        d = _distances_bitset(g.adj)
+        assert d.dtype == np.int64
+        assert d.tolist() == floyd_warshall(g)
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_ORDERS)
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_word_boundaries_match_floyd_warshall(self, n, data):
+        g = data.draw(connected_graphs(min_order=n, max_order=n))
+        assert _distances_bitset(g.adj).tolist() == floyd_warshall(g)
+
+    @given(
+        st.one_of(
+            connected_graphs(max_order=60),
+            st.sampled_from(WORD_BOUNDARY_ORDERS).flatmap(lambda n: connected_graphs(n, n)),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_networkx(self, nx, g):
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        expected = [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
+        assert _distances_bitset(g.adj).tolist() == expected
+
+    def test_long_diameter_still_exact(self):
+        # beyond the dispatcher's level cap the kernel stays exact
+        p = px.path_graph(129)
+        assert _distances_bitset(p.adj).tolist() == [[abs(i - j) for j in range(129)] for i in range(129)]
+
+
+class TestDispatch:
+    def test_long_path_goes_to_scipy(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_distances_bitset", _raise)
+        monkeypatch.setattr(graphs, "_distances_python", _raise)
+        d = px.all_pairs_distances(px.path_graph(300))
+        assert d.matrix.tolist() == [[abs(i - j) for j in range(300)] for i in range(300)]
+
+    def test_small_diameter_goes_to_bitset(self, monkeypatch):
+        g = px.graph_from_edges(300, [(i, (3 * i + 1) % 300) for i in range(300)]
+                                + [(i, i // 2) for i in range(1, 300)])
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        expected = _distances_python(g.adj)
+        monkeypatch.setattr(graphs, "_distances_scipy", _raise)
+        monkeypatch.setattr(graphs, "_distances_python", _raise)
+        assert (px.all_pairs_distances(g).matrix == expected).all()
+
+    def test_disconnected_keeps_inf_cells(self, monkeypatch):
+        g = px.graph_from_edges(40, [(i, i + 1) for i in range(19)] + [(i, i + 1) for i in range(20, 39)])
+        monkeypatch.setattr(graphs, "_distances_bitset", _raise)
+        monkeypatch.setattr(graphs, "_distances_python", _raise)
+        d = px.all_pairs_distances(g)
+        assert d.matrix.tolist() == floyd_warshall(g)
+        assert d.d(0, 39) == INF and d.d(20, 39) == 19
+
+
 class TestTreeDistances:
-    @given(labeled_trees(max_order=12))
+    @given(labeled_trees(max_order=30))
     @settings(max_examples=80)
     def test_matches_floyd_warshall(self, t):
         d = tree_distances(t)
@@ -194,3 +279,13 @@ class TestTreeDistances:
     )
     def test_deep_and_shallow_trees_match_bfs(self, t):
         assert (tree_distances(t).matrix == _distances_python(t.adj)).all()
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["python_rows", "numpy_pass"])
+    def test_both_sides_of_the_small_tree_cutoff(self, monkeypatch, offset):
+        n = graphs._TREE_PASS_MIN_ORDER + offset
+        t = px.prufer_decode(tuple((7 * i) % n for i in range(n - 2)), n)
+        calls = []
+        real = graphs._distances_python
+        monkeypatch.setattr(graphs, "_distances_python", lambda adj: calls.append(1) or real(adj))
+        assert tree_distances(t).matrix.tolist() == floyd_warshall(t)
+        assert len(calls) == (1 if offset < 0 else 0)
