@@ -50,7 +50,6 @@ from .invariants import (
     InvariantSummary,
     classical_bounds,
     invariant_summary,
-    transmission,
 )
 from .oracle import (
     DEFAULT_SEED,

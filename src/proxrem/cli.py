@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 a verified claim failed (counterexample found),
 above ``graphs.MAX_ORDER`` vertices included), 3 an internal error: any
 other exception, reported as one ``internal error:`` line on stderr so
 that a crash never reads as a counterexample.  ``verify --chain`` makes
-two all-pairs distance computations (G and the auxiliary graph F) and
-one O(n²) pass over the spanning tree.
+two all-pairs distance computations (G and the auxiliary graph F); the
+spanning tree is read through BFS rows and balls, with no matrix.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays

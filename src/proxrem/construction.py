@@ -22,13 +22,20 @@ from .graphs import (
     INF,
     DistanceOracle,
     Graph,
+    _ball,
+    _bfs,
     all_pairs_distances,
     degree_stats,
     graph_from_edges,
     is_connected,
-    tree_distances,
+    tree_transmissions,
 )
-from .invariants import InvariantSummary, classical_bounds, invariant_summary
+from .invariants import (
+    InvariantSummary,
+    classical_bounds,
+    invariant_summary,
+    summarize_transmissions,
+)
 from .weighted import any_vertex_bound, heavy_majority_bound, heavy_minority_bound, median_bound
 
 
@@ -52,11 +59,13 @@ class ConstructionTrace:
     standing for ``anchors[i]``.  ``adjusted_weights`` is the contracted
     weight map with ``q`` added at ``w0``.
 
-    ``d_tree``, ``d_aux`` and ``tree_summary`` are the distances of T and
-    F and the invariants of T, computed once here and read by the chain
-    certifiers; they take no part in equality or ``repr``.  ``d_tree``
-    comes from the O(n²) tree pass :func:`~proxrem.graphs.tree_distances`,
-    ``d_aux`` from :func:`~proxrem.graphs.all_pairs_distances`.
+    ``d_aux`` and ``tree_summary`` are the distances of F, from
+    :func:`~proxrem.graphs.all_pairs_distances`, and the invariants of T,
+    from the rerooted transmissions of
+    :func:`~proxrem.graphs.tree_transmissions`.  They are computed once
+    here, read by the chain certifiers, and take no part in equality or
+    ``repr``.  T has no distance matrix: the pipeline and the certifiers
+    read it through BFS rows and balls.
     """
 
     order: int
@@ -71,7 +80,6 @@ class ConstructionTrace:
     q: int
     adjusted_weights: dict[int, Fraction]
     w0: int
-    d_tree: DistanceOracle = field(compare=False, repr=False)
     d_aux: DistanceOracle = field(compare=False, repr=False)
     tree_summary: InvariantSummary = field(compare=False, repr=False)
 
@@ -125,40 +133,50 @@ def _grow_anchor_tree(
 
 
 def contract_weights(
-    anchors: Sequence[int], d: DistanceOracle
+    tree: Graph, anchors: Sequence[int]
 ) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Assign every vertex to its nearest anchor under T's distances ``d``.
+    """Assign every vertex of ``tree`` to its nearest anchor in the tree.
 
-    Ties break to the lowest anchor vertex id.  Returns the assignment and
-    the contracted integer weights (anchor -> number of assigned vertices).
+    Ties break to the lowest anchor vertex id: radius-2 balls are taken
+    around the anchors in ascending id, and a later ball takes a vertex
+    only when it is strictly closer.  Returns the assignment and the
+    contracted integer weights (anchor -> number of assigned vertices).
     """
-    cols = np.array(sorted(anchors), dtype=np.int64)
-    sub = d.matrix[:, cols]
-    _require(int(sub.min(axis=1).max()) <= 2, "a vertex is farther than 2 from every anchor")
-    nearest = cols[np.argmin(sub, axis=1)]  # argmin takes the first = lowest id
-    assignment = tuple(int(b) for b in nearest)
-    counts = {int(b): 0 for b in anchors}
-    for b in assignment:
+    best = [INF] * tree.n
+    nearest = [-1] * tree.n
+    for b in sorted(anchors):
+        dist, reached = _ball(tree.adj, b, 2)
+        for v in reached:
+            if dist[v] < best[v]:
+                best[v] = dist[v]
+                nearest[v] = b
+    _require(INF not in best, "a vertex is farther than 2 from every anchor")
+    counts = {b: 0 for b in anchors}
+    for b in nearest:
         counts[b] += 1
-    return assignment, counts
+    return tuple(nearest), counts
 
 
-def auxiliary_graph(anchors: Sequence[int], d: DistanceOracle) -> Graph:
+def auxiliary_graph(tree: Graph, anchors: Sequence[int]) -> Graph:
     """Graph on anchor positions joining anchors at T-distance <= 3.
 
-    ``d`` holds T's distances; vertex ``i`` stands for ``anchors[i]``.
-    Raises if the result is disconnected or if some anchor after the first
-    has no predecessor at tree-distance exactly 3 (both are guaranteed by
-    the growth rule).
+    ``tree`` is T; vertex ``i`` stands for ``anchors[i]``, and one
+    radius-3 ball of T per anchor finds its neighbours.  Raises if some
+    anchor after the first has no predecessor at tree-distance exactly 3,
+    or if the result is disconnected (both are guaranteed by the growth
+    rule).
     """
-    r = len(anchors)
-    # one gather, then plain lists: most graphs have one to three anchors,
-    # where further numpy calls cost more than a Python scan
-    sub = d.matrix[np.ix_(anchors, anchors)].tolist()
-    close = ((i, j) for i in range(r) for j in range(i + 1, r) if sub[i][j] <= 3)
-    aux = graph_from_edges(r, close)
-    for i in range(1, r):
-        _require(3 in sub[i][:i], f"anchor {anchors[i]} has no predecessor at tree-distance 3")
+    pos = {b: i for i, b in enumerate(anchors)}
+    edges: list[tuple[int, int]] = []
+    for i, b in enumerate(anchors):
+        dist, reached = _ball(tree.adj, b, 3)
+        near = [(pos[v], dist[v]) for v in reached if v in pos]
+        edges.extend((i, j) for j, _ in near if j > i)
+        _require(
+            i == 0 or any(j < i and dv == 3 for j, dv in near),
+            f"anchor {b} has no predecessor at tree-distance 3",
+        )
+    aux = graph_from_edges(len(anchors), edges)
     _require(is_connected(aux), "auxiliary graph is disconnected")
     return aux
 
@@ -191,14 +209,8 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     _require(tree.edge_count() == g.n - 1 and is_connected(tree), "result is not a spanning tree")
     _require(tree.degree(b0) == g.degree(b0) == Delta, "root degree not preserved")
 
-    d_tree = tree_distances(tree)
-    # in a tree, v's parent is its one neighbour a step closer to the root
-    to_root = d_tree.row(b0).tolist()
-    parent = tuple(
-        -1 if v == b0 else next(u for u in tree.adj[v] if to_root[u] < to_root[v])
-        for v in range(g.n)
-    )
-    assignment, counts = contract_weights(anchors, d_tree)
+    parent, tree_trans = tree_transmissions(tree, b0)
+    assignment, counts = contract_weights(tree, anchors)
     for b in anchors:
         _require(assignment[b] == b, f"anchor {b} not assigned to itself")
         _require(
@@ -208,7 +220,7 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     _require(sum(counts.values()) == g.n, "contracted weights do not sum to the order")
     _require(counts[b0] >= Delta + 1, "root weight below Delta+1")
 
-    aux = auxiliary_graph(anchors, d_tree)
+    aux = auxiliary_graph(tree, anchors)
     q = q_adjustment(g.n, Delta, delta)
 
     d_aux = all_pairs_distances(aux)
@@ -233,16 +245,15 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
         Delta=Delta,
         anchors=tuple(anchors),
         tree=tree,
-        parent=parent,
+        parent=tuple(parent),
         nearest_anchor=assignment,
         weights=counts,
         aux=aux,
         q=q,
         adjusted_weights=adjusted,
         w0=w0,
-        d_tree=d_tree,
         d_aux=d_aux,
-        tree_summary=invariant_summary(tree, d_tree),
+        tree_summary=summarize_transmissions(tree_trans),
     )
 
 
@@ -290,13 +301,15 @@ def _link(name: str, lhs: Fraction | int, rhs: Fraction | int) -> ChainLink:
 def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, Fraction]:
     """Transmission and contracted weighted distances at an anchor ``at``.
 
-    Returns ``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)``.
+    T's distances from ``at`` are one BFS row of the tree.  Returns
+    ``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)``.
     """
-    d_tree, d_aux = trace.d_tree, trace.d_aux
+    d_aux = trace.d_aux
     pos = {b: i for i, b in enumerate(trace.anchors)}
     p = pos[at]
     sigma_t = trace.tree_summary.transmissions[at]
-    sigma_c_t = sum(trace.weights[b] * d_tree.d(at, b) for b in trace.anchors)
+    to_at = _bfs(trace.tree.adj, at)
+    sigma_c_t = sum(trace.weights[b] * to_at[b] for b in trace.anchors)
     sigma_c_f = sum(trace.weights[b] * d_aux.d(p, pos[b]) for b in trace.anchors)
     sigma_adj_f = Fraction(sigma_c_f) + trace.q * d_aux.d(p, pos[trace.w0])
     return sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f
@@ -307,9 +320,9 @@ def certify_proximity_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the proximity of ``g`` through the trace.
 
-    T's and F's distances and T's invariants come from the trace, which
-    computed them once.  ``summary`` is ``g``'s own; when it is absent it
-    is computed here.
+    F's distances and T's invariants come from the trace, which computed
+    them once.  ``summary`` is ``g``'s own; when it is absent it is
+    computed here.
 
     Each merged constant is re-derived as its own link, so an arithmetic
     slip anywhere in the derivation surfaces as a failed certificate with
@@ -354,7 +367,7 @@ def certify_remoteness_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the remoteness of ``g`` through the trace.
 
-    As for :func:`certify_proximity_chain`, T's and F's distances and T's
+    As for :func:`certify_proximity_chain`, F's distances and T's
     invariants come from the trace; ``summary`` is ``g``'s.
     """
     n, delta, Delta = trace.order, trace.delta, trace.Delta

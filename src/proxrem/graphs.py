@@ -41,22 +41,14 @@ _NUMPY_MIN_ORDER = 25
 #: there, 48× on the extremal graph (2000, 3, 120).
 _BITSET_MAX_LEVELS = 32
 
-#: Below this order :func:`tree_distances` stacks Python BFS rows instead
-#: of its numpy pass, which pays about 4 µs per row in call overhead.
-#: Mean µs per tree, best of 15 over 200 random Prufer trees (numpy pass
-#: vs Python rows): n=7 54 vs 34, n=14 76 vs 63, n=18 90 vs 85, n=20 107
-#: vs 102, n=22 90 vs 125, n=28 110 vs 181.
-_TREE_PASS_MIN_ORDER = 20
-
-#: Largest order :func:`parse_graph` accepts.  ``verify --chain`` holds
-#: about 19.5·n² bytes at its peak by ``tracemalloc`` (n = 1000 and 2000,
-#: mean degree 3 on the bitset path and a 10-wide grid on the scipy path):
-#: G's and T's int64 distance matrices, 16·n², plus the anchor-column
-#: temporaries of ``contract_weights``, 16·n·r for r anchors.  G's
-#: distances peak alone, before T exists, at 9.4·n² on the bitset path
-#: and 16·n² on the scipy path (its float64 result plus the int64 copy).
-#: That is about 2 GB at n = 10⁴.  A larger document is refused before
-#: :func:`graph_from_edges` allocates its n adjacency sets.
+#: Largest order :func:`parse_graph` accepts.  ``verify --chain`` peaks
+#: while G's distances are computed, by ``tracemalloc`` at n = 1000 and
+#: 2000: 9.4·n² bytes on the bitset path (mean degree 3), 16·n² on the
+#: scipy path (a 10-wide grid; its float64 result plus the int64 copy).
+#: T adds no n×n array and F's matrix is O(anchors²), so the rest of the
+#: run stays under G's int64 matrix, 8·n².  That is about 1.6 GB at
+#: n = 10⁴.  A larger document is refused before :func:`graph_from_edges`
+#: allocates its n adjacency sets.
 MAX_ORDER = 10_000
 
 
@@ -200,27 +192,40 @@ def is_connected(g: Graph) -> bool:
     return INF not in _bfs(g.adj, 0)
 
 
-def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int]:
-    """Hop distances from ``s``, ``INF`` where unreachable.
+def _ball(adj: Sequence[Sequence[int]], s: int, radius: int) -> tuple[list[int], list[int]]:
+    """Hop distances from ``s`` up to ``radius``, ``INF`` beyond it or where
+    unreachable, and the vertices reached, in visit order (nondecreasing
+    distance).
 
     The one hand-rolled BFS in the package; every other distance comes
     from here, from the bit-parallel kernel or from the scipy backend.
     """
     dist = [INF] * len(adj)
     dist[s] = 0
-    dq = deque([s])
+    reached = [s]
+    dq = deque(reached)
     while dq:
         u = dq.popleft()
         du = dist[u] + 1
+        if du > radius:
+            break  # every vertex still queued is as far as u
         for w in adj[u]:
             if dist[w] == INF:
                 dist[w] = du
+                reached.append(w)
                 dq.append(w)
-    return dist
+    return dist, reached
+
+
+def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int]:
+    """Hop distances from ``s``, ``INF`` where unreachable."""
+    return _ball(adj, s, INF)[0]
 
 
 def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.array([_bfs(adj, s) for s in range(len(adj))], dtype=np.int64)
+    # the kernel itself, not _bfs: a wrapper call per row is a tenth of a
+    # row's cost on the order-7 trees of the oracle sweeps
+    return np.array([_ball(adj, s, INF)[0] for s in range(len(adj))], dtype=np.int64)
 
 
 def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,28 +302,22 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     return DistanceOracle(mat)
 
 
-def tree_distances(t: Graph) -> DistanceOracle:
-    """Exact hop distances of a tree in one O(n²) pass, no shortest-path
-    search.
+def tree_transmissions(t: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Parents and transmissions of a tree rooted at ``root``, from one BFS
+    and no distance matrix.
 
-    One BFS from vertex 0 gives depths, and v's parent is its one
-    neighbour a step shallower.  Subtree sizes are summed deepest first,
-    then preorder positions are handed out shallowest first, so that v's
-    subtree is the block ``pre[pos[v]:pos[v] + size[v]]``.  Row 0 is the
-    depth row; every other row, parents before children, is the parent's
-    row plus 1, minus 2 on v's subtree.  Below ``_TREE_PASS_MIN_ORDER``
-    the rows are Python BFS rows instead.  Raises ``ValueError`` unless
-    ``t`` is a tree.
+    v's parent is its one neighbour a step closer to the root (-1 at the
+    root).  Subtree sizes are summed deepest first; then σ(root) is the
+    sum of the depths and each child c, parents first, has
+    σ(c) = σ(parent) + n − 2·|subtree(c)|, since moving the centre across
+    one edge brings c's subtree a step closer and the rest a step farther.
+    Raises ``ValueError`` unless ``t`` is a tree.
     """
     n = t.n
-    depth = _bfs(t.adj, 0)
-    if t.edge_count() != n - 1 or INF in depth:
-        raise ValueError("tree distances need a tree")
-    if n < _TREE_PASS_MIN_ORDER:
-        mat = _distances_python(t.adj)
-        mat.setflags(write=False)
-        return DistanceOracle(mat)
-    below_root = sorted(range(1, n), key=depth.__getitem__)
+    depth, order = _ball(t.adj, root, INF)
+    if t.edge_count() != n - 1 or len(order) != n:
+        raise ValueError("tree transmissions need a tree")
+    below_root = order[1:]
     parent = [-1] * n
     for v in below_root:
         up = depth[v] - 1
@@ -326,24 +325,11 @@ def tree_distances(t: Graph) -> DistanceOracle:
     size = [1] * n
     for v in reversed(below_root):
         size[parent[v]] += size[v]
-    pos = [0] * n
-    free = [1] * n  # next unassigned preorder position inside each block
+    trans = [0] * n
+    trans[root] = sum(depth)
     for v in below_root:
-        p = parent[v]
-        pos[v] = free[p]
-        free[p] += size[v]
-        free[v] = pos[v] + 1
-    pre = np.empty(n, dtype=np.int64)
-    pre[pos] = np.arange(n)
-
-    mat = np.empty((n, n), dtype=np.int64)
-    mat[0] = depth
-    for v in below_root:
-        row = mat[v]
-        np.add(mat[parent[v]], 1, out=row)
-        row[pre[pos[v]:pos[v] + size[v]]] -= 2
-    mat.setflags(write=False)
-    return DistanceOracle(mat)
+        trans[v] = trans[parent[v]] + n - 2 * size[v]
+    return parent, trans
 
 
 # Small factories used throughout the tests and the CLI examples.

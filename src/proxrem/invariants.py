@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import INF, DistanceOracle, Graph, all_pairs_distances
 
@@ -26,14 +26,6 @@ class InvariantSummary:
     antimedian: tuple[int, ...]  # argmax, sorted
 
 
-def transmission(d: DistanceOracle, v: int) -> int:
-    """Sum of distances from ``v`` to all other vertices."""
-    row = d.row(v)
-    if not bool((row < INF).all()):
-        raise ValueError("transmission undefined on a disconnected graph")
-    return int(row.sum())
-
-
 def invariant_summary(g: Graph, oracle: DistanceOracle | None = None) -> InvariantSummary:
     """Compute transmissions, average distances, proximity and remoteness.
 
@@ -44,14 +36,19 @@ def invariant_summary(g: Graph, oracle: DistanceOracle | None = None) -> Invaria
     d = oracle if oracle is not None else all_pairs_distances(g)
     if INF in d.row(0):
         raise ValueError("invariants undefined on a disconnected graph")
-    sums = d.matrix.sum(axis=1)
-    trans = tuple(int(s) for s in sums)
-    denom = g.n - 1
+    return summarize_transmissions(d.matrix.sum(axis=1).tolist())
+
+
+def summarize_transmissions(transmissions: Sequence[int]) -> InvariantSummary:
+    """The summary of a connected graph of order ``len(transmissions)`` >= 2
+    with these transmissions."""
+    trans = tuple(transmissions)
+    denom = len(trans) - 1
     avg = tuple(Fraction(s, denom) for s in trans)
     tmin = min(trans)
     tmax = max(trans)
     return InvariantSummary(
-        order=g.n,
+        order=len(trans),
         transmissions=trans,
         avg_distances=avg,
         proximity=Fraction(tmin, denom),

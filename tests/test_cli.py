@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,11 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxrem as px
 from proxrem.cli import main
 from proxrem.graphs import MAX_ORDER
 from proxrem.oracle import instance_csv_rows
+
+from .conftest import connected_graphs
 
 
 @pytest.fixture
@@ -286,3 +292,110 @@ class TestUsage:
         code, out, _ = _run(capsys, "verify", p5_file)
         assert code == 1
         assert json.loads(out)["verification"]["all_hold"] is False
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """A valid edge-list document with a few lines deleted, duplicated,
+    swapped, or with a token replaced by a small integer or junk."""
+    lines = px.render_graph(draw(connected_graphs(max_order=8))).splitlines()
+    tokens = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "x", "1.5", "#", "0 1", "99999"]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(tokens)
+            lines[i] = " ".join(words)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestFuzzExitCodes:
+    """No document, however malformed, reads as a failed claim (1) or a
+    crash (3): each is accepted (0) or refused as bad input (2)."""
+
+    @pytest.fixture(scope="class")
+    def doc_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "doc.edges"
+
+    def _check(self, doc_path, data):
+        doc_path.write_bytes(data)
+        for argv in (["compute"], ["verify"], ["verify", "--chain"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, str(doc_path)])
+            assert code in (0, 2), (argv, data, err.getvalue())
+
+    @given(st.one_of(st.text(alphabet="0123456789 -#\n\tx").map(str.encode), st.binary(max_size=40)))
+    @settings(max_examples=120, deadline=None)
+    def test_raw_text(self, doc_path, data):
+        self._check(doc_path, data)
+
+    @given(mutated_edge_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_edge_lists(self, doc_path, data):
+        self._check(doc_path, data)
+
+
+_RUN_ALL = (
+    "import contextlib, io, json, sys\n"
+    "from proxrem.cli import main\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    buf = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(buf):\n"
+    "        code = main(argv)\n"
+    "    results.append([code, buf.getvalue()])\n"
+    "print(json.dumps(results))\n"
+)
+
+
+class TestDeterminism:
+    """Every subcommand prints the same bytes in a fresh process under
+    another hash seed, and for any ``--jobs``; ``--timings`` adds only its
+    own key."""
+
+    def _run_all(self, argvs, hash_seed):
+        src = str(Path(px.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash_seed)}
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return [tuple(r) for r in json.loads(proc.stdout)]
+
+    def test_stdout_is_byte_identical(self, tmp_path):
+        f = tmp_path / "g2083.edges"
+        f.write_text(px.render_graph(px.extremal_graph(px.ExtremalParams(20, 3, 8))))
+        single = [
+            ["compute", str(f)],
+            ["compute", str(f), "--format", "text"],
+            ["verify", str(f)],
+            ["verify", "--chain", str(f)],
+            ["extremal", "--n", "20", "--delta", "3", "--Delta", "8"],
+            ["extremal", "--n", "20", "--delta", "3", "--Delta", "8", "--sharpness"],
+        ]
+        with_jobs = [
+            ["extremal", "--delta", "3", "--sweep", "16", "24"],
+            ["oracle", "lemma-sweep", "--max-n", "6", "--max-order", "4"],
+            ["oracle", "bound-check", "--trees", "5"],
+            ["oracle", "bound-check", "--random", "20", "--max-n", "18", "--seed", "7"],
+        ]
+        timed = [["compute", str(f), "--timings"], ["verify", "--chain", str(f), "--timings"]]
+        argvs = single + [a + ["--jobs", j] for a in with_jobs for j in ("1", "2")]
+        first = self._run_all(argvs + timed, hash_seed=1)
+        assert first[:len(argvs)] == self._run_all(argvs, hash_seed=2)
+        results = dict(zip(map(tuple, argvs + timed), first))
+        assert all(code == 0 and out for code, out in results.values())
+        for a in with_jobs:
+            assert results[(*a, "--jobs", "1")] == results[(*a, "--jobs", "2")]
+        for a in timed:
+            code, out = results[tuple(a)]
+            doc = json.loads(out)
+            assert set(doc.pop("timings")) == {"seconds"}
+            assert (code, json.dumps(doc, indent=2) + "\n") == results[tuple(a[:-1])]

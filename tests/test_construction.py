@@ -1,13 +1,17 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxrem as px
+from proxrem import graphs
 from proxrem.construction import trace_to_json
-from proxrem.graphs import tree_distances
+from proxrem.graphs import tree_transmissions
 
-from .conftest import connected_graphs, floyd_warshall, set_distance
+from .conftest import connected_graphs, floyd_warshall, labeled_trees, set_distance
 
 
 def _verify_trace_invariants(g, trace):
@@ -127,7 +131,7 @@ class TestSubOperations:
     def test_contract_weights_assigns_anchors_to_themselves(self):
         g = px.cycle_graph(9)
         trace = px.build_construction(g)
-        assignment, counts = px.contract_weights(trace.anchors, px.all_pairs_distances(trace.tree))
+        assignment, counts = px.contract_weights(trace.tree, trace.anchors)
         assert assignment == trace.nearest_anchor
         assert counts == trace.weights
         for b in trace.anchors:
@@ -136,7 +140,7 @@ class TestSubOperations:
     def test_auxiliary_graph_single_anchor(self):
         g = px.star_graph(3)
         trace = px.build_construction(g)
-        aux = px.auxiliary_graph(trace.anchors, px.all_pairs_distances(trace.tree))
+        aux = px.auxiliary_graph(trace.tree, trace.anchors)
         assert aux.n == 1 and aux.edge_count() == 0
 
     def test_q_adjustment_values(self):
@@ -149,6 +153,93 @@ class TestSubOperations:
         q = px.q_adjustment(n, Delta, delta)
         assert 0 <= q <= delta
         assert (n - (Delta + 1) + q) % (delta + 1) == 0
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the ConstructionError it raises."""
+    try:
+        return fn(*args)
+    except px.ConstructionError as exc:
+        return f"ConstructionError: {exc}"
+
+
+def _contract_by_floyd_warshall(tree, anchors):
+    """Nearest anchor by full tree distances, ties to the lowest anchor id."""
+    fw = floyd_warshall(tree)
+    cols = sorted(anchors)
+    if max(min(fw[v][b] for b in cols) for v in range(tree.n)) > 2:
+        raise px.ConstructionError("a vertex is farther than 2 from every anchor")
+    nearest = tuple(min(cols, key=lambda b: (fw[v][b], b)) for v in range(tree.n))
+    return nearest, {b: nearest.count(b) for b in anchors}
+
+
+def _aux_by_floyd_warshall(tree, anchors):
+    fw = floyd_warshall(tree)
+    r = len(anchors)
+    sub = [[fw[a][b] for b in anchors] for a in anchors]
+    aux = px.graph_from_edges(r, [(i, j) for i in range(r) for j in range(i + 1, r) if sub[i][j] <= 3])
+    for i in range(1, r):
+        if 3 not in sub[i][:i]:
+            raise px.ConstructionError(f"anchor {anchors[i]} has no predecessor at tree-distance 3")
+    if not px.is_connected(aux):
+        raise px.ConstructionError("auxiliary graph is disconnected")
+    return aux
+
+
+class TestMatrixFreeTree:
+    """The stages that read T through balls, against full tree distances."""
+
+    @given(labeled_trees(max_order=14), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stages_match_floyd_warshall(self, t, data):
+        anchors = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=6, unique=True))
+        assert _outcome(px.contract_weights, t, anchors) == _outcome(
+            _contract_by_floyd_warshall, t, anchors
+        )
+        assert _outcome(px.auxiliary_graph, t, anchors) == _outcome(
+            _aux_by_floyd_warshall, t, anchors
+        )
+
+    def test_tie_goes_to_the_lowest_anchor(self):
+        # vertex 1 is at distance 1 from both anchors
+        assert px.contract_weights(px.path_graph(3), [2, 0]) == ((0, 0, 2), {2: 1, 0: 2})
+
+    def test_aux_edges_on_a_path(self):
+        aux = px.auxiliary_graph(px.path_graph(10), [4, 1, 7])
+        assert sorted(aux.edges()) == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize(
+        "stage,anchors,message",
+        [
+            (px.contract_weights, [0], "a vertex is farther than 2 from every anchor"),
+            (px.auxiliary_graph, [0, 2], "anchor 2 has no predecessor at tree-distance 3"),
+            (px.auxiliary_graph, [0, 3, 9], "anchor 9 has no predecessor at tree-distance 3"),
+        ],
+    )
+    def test_failed_checks_keep_their_messages(self, stage, anchors, message):
+        with pytest.raises(px.ConstructionError, match=f"^{message}$"):
+            stage(px.path_graph(10), anchors)
+
+
+class TestMemory:
+    def test_chains_peak_below_12_n_squared_bytes(self):
+        # a random recursive tree plus chords: order 1000, mean degree 3 and
+        # a small diameter, so G takes the bit-parallel kernel; T and the
+        # construction's stages must add no n×n array on top of G's matrix
+        rng = random.Random(1000)
+        n = 1000
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+        g = px.graph_from_edges(n, [(u, v) for u, v in edges if u != v])
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        tracemalloc.start()
+        try:
+            report = px.bound_report(g, include_chains=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_hold()
+        assert peak < 12 * n * n
 
 
 class TestDegreeRangeBounds:
@@ -259,17 +350,17 @@ class TestDistanceReuse:
             calls.append(g.n)
             return px.all_pairs_distances(g)
 
-        def counting_tree(t):
+        def counting_tree(t, root):
             tree_calls.append(t.n)
-            return tree_distances(t)
+            return tree_transmissions(t, root)
 
         monkeypatch.setattr(construction, "all_pairs_distances", counting)
         monkeypatch.setattr(invariants, "all_pairs_distances", counting)
-        monkeypatch.setattr(construction, "tree_distances", counting_tree)
+        monkeypatch.setattr(construction, "tree_transmissions", counting_tree)
         g = px.cycle_graph(12)
         report = px.bound_report(g, include_chains=True)
         assert report.all_hold()
-        assert calls == [12, 4]  # G, then F on the four anchors; T takes the tree pass
+        assert calls == [12, 4]  # G, then F on the four anchors; T has no matrix
         assert tree_calls == [12]
 
     @given(connected_graphs(max_order=12))
@@ -277,7 +368,6 @@ class TestDistanceReuse:
     def test_trace_distances_match_floyd_warshall(self, g):
         trace = px.build_construction(g)
         fw_tree = floyd_warshall(trace.tree)
-        assert trace.d_tree.matrix.tolist() == fw_tree
         assert trace.d_aux.matrix.tolist() == floyd_warshall(trace.aux)
         assert trace.tree_summary == px.invariant_summary(trace.tree)
         # parent[v] is v's tree neighbour one step closer to the root
@@ -303,8 +393,8 @@ class TestDistanceReuse:
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)
         a, b = px.build_construction(g), px.build_construction(g)
-        assert a.d_tree is not b.d_tree and a == b
-        assert "d_tree" not in repr(a) and "tree_summary" not in repr(a)
+        assert a.d_aux is not b.d_aux and a == b
+        assert "d_aux" not in repr(a) and "tree_summary" not in repr(a)
 
 
 class TestBoundReport:

@@ -14,7 +14,7 @@ from proxrem.graphs import (
     _distances_bitset,
     _distances_python,
     _distances_scipy,
-    tree_distances,
+    tree_transmissions,
 )
 
 from .conftest import (
@@ -253,17 +253,38 @@ class TestDispatch:
         assert d.d(0, 39) == INF and d.d(20, 39) == 19
 
 
+class TestBall:
+    @given(arbitrary_graphs(), st.integers(0, 4), st.data())
+    @settings(max_examples=150)
+    def test_capped_kernel_matches_floyd_warshall(self, g, radius, data):
+        s = data.draw(st.integers(0, g.n - 1))
+        dist, reached = graphs._ball(g.adj, s, radius)
+        fw = floyd_warshall(g)[s]
+        assert dist == [x if x <= radius else INF for x in fw]
+        assert sorted(reached) == [v for v in range(g.n) if dist[v] < INF]
+        assert reached[0] == s
+        assert all(dist[u] <= dist[v] for u, v in zip(reached, reached[1:]))
+
+
 class TestTreeDistances:
-    @given(labeled_trees(max_order=30))
+    """T's distances as the construction reads them: parents and
+    transmissions of a rooted tree, rerooted from one BFS."""
+
+    @given(labeled_trees(max_order=30), st.data())
     @settings(max_examples=80)
-    def test_matches_floyd_warshall(self, t):
-        d = tree_distances(t)
-        assert d.matrix.dtype == np.int64
-        assert d.matrix.tolist() == floyd_warshall(t)
-        assert not d.matrix.flags.writeable
+    def test_matches_floyd_warshall(self, t, data):
+        root = data.draw(st.integers(0, t.n - 1))
+        parent, trans = tree_transmissions(t, root)
+        fw = floyd_warshall(t)
+        assert trans == [sum(row) for row in fw]
+        assert parent[root] == -1
+        for v in range(t.n):
+            if v != root:
+                assert t.has_edge(v, parent[v])
+                assert fw[root][parent[v]] == fw[root][v] - 1
 
     def test_order_one(self):
-        assert tree_distances(px.graph_from_edges(1, [])).matrix.tolist() == [[0]]
+        assert tree_transmissions(px.graph_from_edges(1, []), 0) == ([-1], [0])
 
     @pytest.mark.parametrize(
         "g",
@@ -272,20 +293,14 @@ class TestTreeDistances:
     )
     def test_non_tree_rejected(self, g):
         with pytest.raises(ValueError, match="tree"):
-            tree_distances(g)
+            tree_transmissions(g, 0)
 
     @pytest.mark.parametrize(
         "t", [px.path_graph(300), px.star_graph(299)], ids=["path", "star"]
     )
     def test_deep_and_shallow_trees_match_bfs(self, t):
-        assert (tree_distances(t).matrix == _distances_python(t.adj)).all()
-
-    @pytest.mark.parametrize("offset", [-1, 0], ids=["python_rows", "numpy_pass"])
-    def test_both_sides_of_the_small_tree_cutoff(self, monkeypatch, offset):
-        n = graphs._TREE_PASS_MIN_ORDER + offset
-        t = px.prufer_decode(tuple((7 * i) % n for i in range(n - 2)), n)
-        calls = []
-        real = graphs._distances_python
-        monkeypatch.setattr(graphs, "_distances_python", lambda adj: calls.append(1) or real(adj))
-        assert tree_distances(t).matrix.tolist() == floyd_warshall(t)
-        assert len(calls) == (1 if offset < 0 else 0)
+        root = t.n // 2
+        parent, trans = tree_transmissions(t, root)
+        assert trans == _distances_python(t.adj).sum(axis=1).tolist()
+        depth = graphs._bfs(t.adj, root)
+        assert all(depth[parent[v]] == depth[v] - 1 for v in range(t.n) if v != root)

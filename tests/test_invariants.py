@@ -12,23 +12,23 @@ class TestTransmission:
     def test_path_end(self):
         g = px.path_graph(4)
         d = px.all_pairs_distances(g)
-        assert px.transmission(d, 0) == 6
+        assert px.invariant_summary(g, d).transmissions[0] == 6
 
     def test_complete(self):
         g = px.complete_graph(5)
         d = px.all_pairs_distances(g)
-        assert px.transmission(d, 2) == 4
+        assert px.invariant_summary(g, d).transmissions[2] == 4
 
     def test_five_cycle(self):
         g = px.cycle_graph(5)
         d = px.all_pairs_distances(g)
-        assert px.transmission(d, 0) == 6
+        assert px.invariant_summary(g, d).transmissions[0] == 6
 
     def test_disconnected_rejected(self):
         g = px.graph_from_edges(4, [(0, 1), (2, 3)])
         d = px.all_pairs_distances(g)
         with pytest.raises(ValueError):
-            px.transmission(d, 0)
+            px.invariant_summary(g, d).transmissions[0]
 
 
 class TestSummary:
