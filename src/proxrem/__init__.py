@@ -70,9 +70,7 @@ from .weighted import (
     c_median,
     heavy_majority_bound,
     heavy_minority_bound,
-    max_weight_distance_bound,
     median_by_branch_weight,
-    median_weight_distance_bound,
     weighted_distance,
     witness_path,
 )

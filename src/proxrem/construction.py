@@ -181,8 +181,9 @@ def auxiliary_graph(tree: Graph, anchors: Sequence[int]) -> Graph:
     return aux
 
 
-def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> ConstructionTrace:
-    """Run the full pipeline on a connected graph of order >= 2.
+def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
+    """Run the full pipeline on a connected graph of order >= 2 whose
+    all-pairs distances are ``d``.
 
     Deterministic: the root is the lowest-index maximum-degree vertex,
     each new anchor is the lowest-index vertex at set-distance exactly 3,
@@ -191,7 +192,6 @@ def build_construction(g: Graph, oracle: DistanceOracle | None = None) -> Constr
     """
     if g.n < 2:
         raise ValueError("construction needs at least two vertices")
-    d = oracle if oracle is not None else all_pairs_distances(g)
     if INF in d.row(0):
         raise ValueError("construction needs a connected graph")
     delta, Delta = degree_stats(g)
@@ -316,13 +316,12 @@ def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, Fra
 
 
 def certify_proximity_chain(
-    g: Graph, trace: ConstructionTrace, summary: InvariantSummary | None = None
+    trace: ConstructionTrace, summary: InvariantSummary
 ) -> tuple[ChainLink, ...]:
-    """Certify every link bounding the proximity of ``g`` through the trace.
+    """Certify every link bounding the proximity of G through its trace.
 
     F's distances and T's invariants come from the trace, which computed
-    them once.  ``summary`` is ``g``'s own; when it is absent it is
-    computed here.
+    them once; ``summary`` is G's own, from the caller.
 
     Each merged constant is re-derived as its own link, so an arithmetic
     slip anywhere in the derivation surfaces as a failed certificate with
@@ -345,7 +344,6 @@ def certify_proximity_chain(
             9 * (n - 1), 4
         )
     bounds = degree_range_bounds(n, delta, Delta)
-    inv_g = summary or invariant_summary(g)
     inv_t = trace.tree_summary
 
     return (
@@ -356,22 +354,21 @@ def certify_proximity_chain(
         _link("median_bound_q_free", Fraction(sigma_c_f), q_free_bound),
         _link("median_bound_merged", Fraction(sigma_c_f), merged_bound),
         _link("root_transmission_bound", sigma_t, (n - 1) * bounds.pi_bound),
-        _link("proximity_tree_dominates", inv_g.proximity, inv_t.proximity),
+        _link("proximity_tree_dominates", summary.proximity, inv_t.proximity),
         _link("proximity_via_median", inv_t.proximity, Fraction(sigma_t, n - 1)),
-        _link("proximity_bound", inv_g.proximity, bounds.pi_bound),
+        _link("proximity_bound", summary.proximity, bounds.pi_bound),
     )
 
 
 def certify_remoteness_chain(
-    g: Graph, trace: ConstructionTrace, summary: InvariantSummary | None = None
+    trace: ConstructionTrace, summary: InvariantSummary
 ) -> tuple[ChainLink, ...]:
-    """Certify every link bounding the remoteness of ``g`` through the trace.
+    """Certify every link bounding the remoteness of G through its trace.
 
     As for :func:`certify_proximity_chain`, F's distances and T's
-    invariants come from the trace; ``summary`` is ``g``'s.
+    invariants come from the trace; ``summary`` is G's.
     """
     n, delta, Delta = trace.order, trace.delta, trace.Delta
-    inv_g = summary or invariant_summary(g)
     inv_t = trace.tree_summary
     far = inv_t.antimedian[0]
     sigma_far = inv_t.transmissions[far]
@@ -395,8 +392,8 @@ def certify_remoteness_chain(
         _link("remote_chain_combined", sigma_far, 3 * sigma_c_f + 4 * (n - 1)),
         _link("remote_transmission_bound", sigma_far, (n - 1) * bounds.rho_bound),
         _link("remoteness_tree_bound", inv_t.remoteness, bounds.rho_bound),
-        _link("remoteness_graph_dominates", inv_g.remoteness, inv_t.remoteness),
-        _link("remoteness_bound", inv_g.remoteness, bounds.rho_bound),
+        _link("remoteness_graph_dominates", summary.remoteness, inv_t.remoteness),
+        _link("remoteness_bound", summary.remoteness, bounds.rho_bound),
     )
 
 
@@ -449,8 +446,8 @@ def bound_report(g: Graph, include_chains: bool = False) -> BoundReport:
     prox_chain = rem_chain = None
     if include_chains:
         trace = build_construction(g, d)
-        prox_chain = certify_proximity_chain(g, trace, summary=inv)
-        rem_chain = certify_remoteness_chain(g, trace, summary=inv)
+        prox_chain = certify_proximity_chain(trace, inv)
+        rem_chain = certify_remoteness_chain(trace, inv)
 
     return BoundReport(
         order=g.n,
@@ -469,7 +466,6 @@ def bound_report(g: Graph, include_chains: bool = False) -> BoundReport:
 
 def trace_to_json(trace: ConstructionTrace) -> dict:
     """JSON-ready document for golden-file regression tests."""
-    pos = {b: i for i, b in enumerate(trace.anchors)}
     aux_edges = [
         [trace.anchors[i], trace.anchors[j]] for i, j in trace.aux.edges()
     ]

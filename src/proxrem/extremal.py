@@ -192,8 +192,10 @@ def valid_Deltas(n: int, delta: int) -> list[int]:
 
 def sharpness_sweep(delta: int, n_lo: int, n_hi: int, jobs: int = 1) -> list[SharpnessRecord]:
     """Sharpness records for every valid (n, Delta) in an order range, in
-    order; identical for any ``jobs``."""
+    order; identical for any ``jobs``.  An empty range is a ``ValueError``."""
     params = [
         ExtremalParams(n, delta, D) for n in range(n_lo, n_hi + 1) for D in valid_Deltas(n, delta)
     ]
+    if not params:
+        raise ValueError(f"--sweep {n_lo} {n_hi} holds no valid (n, Delta) for --delta {delta}")
     return parallel_map(sharpness_report, params, jobs)

@@ -94,10 +94,6 @@ class DistanceOracle:
 
     matrix: np.ndarray  # (n, n) int64
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def d(self, u: int, v: int) -> int:
         return int(self.matrix[u, v])
 

@@ -1,7 +1,7 @@
 """Unweighted distance invariants and the order / minimum-degree bounds.
 
-Everything is exact: transmissions are integers, averaged quantities are
-``fractions.Fraction``.  No floating point enters any comparison.
+Everything is exact: transmissions are integers, proximity and remoteness
+are ``fractions.Fraction``.  No floating point enters any comparison.
 """
 
 from __future__ import annotations
@@ -15,19 +15,22 @@ from .graphs import INF, DistanceOracle, Graph, all_pairs_distances
 
 @dataclass(frozen=True)
 class InvariantSummary:
-    """Per-vertex and aggregate distance invariants of a connected graph."""
+    """Per-vertex and aggregate distance invariants of a connected graph.
+
+    A vertex's average distance is its transmission over ``order - 1``;
+    reports derive it from ``transmissions`` where they print it.
+    """
 
     order: int
     transmissions: tuple[int, ...]
-    avg_distances: tuple[Fraction, ...]
-    proximity: Fraction          # min of avg_distances
-    remoteness: Fraction         # max of avg_distances
+    proximity: Fraction          # min transmission / (order - 1)
+    remoteness: Fraction         # max transmission / (order - 1)
     median: tuple[int, ...]      # argmin, sorted
     antimedian: tuple[int, ...]  # argmax, sorted
 
 
 def invariant_summary(g: Graph, oracle: DistanceOracle | None = None) -> InvariantSummary:
-    """Compute transmissions, average distances, proximity and remoteness.
+    """Compute transmissions, proximity, remoteness and the (anti)medians.
 
     Requires a connected graph on at least two vertices.
     """
@@ -44,13 +47,11 @@ def summarize_transmissions(transmissions: Sequence[int]) -> InvariantSummary:
     with these transmissions."""
     trans = tuple(transmissions)
     denom = len(trans) - 1
-    avg = tuple(Fraction(s, denom) for s in trans)
     tmin = min(trans)
     tmax = max(trans)
     return InvariantSummary(
         order=len(trans),
         transmissions=trans,
-        avg_distances=avg,
         proximity=Fraction(tmin, denom),
         remoteness=Fraction(tmax, denom),
         median=tuple(v for v, s in enumerate(trans) if s == tmin),

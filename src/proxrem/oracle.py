@@ -26,9 +26,6 @@ from .weighted import any_vertex_bound, median_bound
 #: Default seed for every randomized corpus (overridable via --seed).
 DEFAULT_SEED = 1729
 
-#: Hard ceiling on evaluated sweep instances.
-SWEEP_BUDGET = 10**8
-
 _T = TypeVar("_T")
 _U = TypeVar("_U")
 
@@ -304,13 +301,19 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
     distances are compared against the closed-form bounds.  Enumerating
     the designated heavy vertex collapses to the threshold test
     ``max(weights) >= heavy``, which covers every designation choice.
+    Ranges above the budget, or holding no instance, raise ``ValueError``.
     """
-    trees, weightings, instances = sweep_instance_count(max_total, max_order)
-    if max_total > 9 or max_order > 7 or instances > SWEEP_BUDGET:
+    if max_total > 9 or max_order > 7:
         raise ValueError(
             f"sweep budget exceeded: max_total <= 9 and max_order <= 7 required "
-            f"({instances} instances requested, budget {SWEEP_BUDGET})"
+            f"(got {max_total} and {max_order})"
         )
+    # a total of 1 admits no heavy threshold, so no instance
+    if max_total < 2:
+        raise ValueError(f"empty sweep: --max-n must be at least 2, got {max_total}")
+    if max_order < 1:
+        raise ValueError(f"empty sweep: --max-order must be at least 1, got {max_order}")
+    trees, weightings, instances = sweep_instance_count(max_total, max_order)
     shards = [(m, max_total) for m in range(1, min(max_order, max_total) + 1)]
     results = parallel_map(_sweep_order, shards, jobs)
 
@@ -351,18 +354,15 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
 # Seeded random connected graphs
 
 
-def random_connected_graph(
-    rng: random.Random, max_order: int, order: int | None = None
-) -> Graph:
-    """Erdos-Renyi graph conditioned on connectivity by rejection.
+def random_connected_graph(rng: random.Random, max_order: int) -> Graph:
+    """Erdos-Renyi graph of order uniform in ``2..max_order``, conditioned
+    on connectivity by rejection.
 
     The edge probability is redrawn per attempt from a sparse-biased
     range above the connectivity threshold, so the corpus spans sparse
     to dense graphs.  Fully deterministic given the Random instance.
     """
-    n = order if order is not None else rng.randint(2, max_order)
-    if n == 1:
-        return graph_from_edges(1, [])
+    n = rng.randint(2, max_order)
     p_lo = min(1.0, 1.2 * log(n + 1) / n)
     for _ in range(1000):
         u = rng.random()
@@ -448,6 +448,8 @@ def exhaustive_bound_check(
     elif sampler == "random":
         if samples < 1:
             raise ValueError("random mode needs samples >= 1")
+        if max_n < 2:
+            raise ValueError(f"random mode needs --max-n >= 2, got {max_n}")
         graphs = sample_corpus(seed, samples, max_n)
         labeled = [(f"random-seed{seed}-i{i}", g) for i, g in enumerate(graphs)]
         params = {"max_n": max_n, "samples": samples, "seed": seed}

@@ -25,10 +25,11 @@ def frac_str(x: Fraction | int) -> str:
 
 
 def invariants_block(inv: InvariantSummary) -> dict:
+    denom = inv.order - 1
     return {
         "order": inv.order,
         "transmissions": list(inv.transmissions),
-        "avg_distances": [frac_str(x) for x in inv.avg_distances],
+        "avg_distances": [frac_str(Fraction(s, denom)) for s in inv.transmissions],
         "proximity": frac_str(inv.proximity),
         "remoteness": frac_str(inv.remoteness),
         "median": list(inv.median),

@@ -53,23 +53,6 @@ class WeightFunction:
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, w in enumerate(self.values) if w > 0)
 
-    def restrict(self, keep: Iterable[int]) -> "WeightFunction":
-        """Zero out every weight outside ``keep``; same vertex range."""
-        kset = set(keep)
-        return WeightFunction(
-            tuple(w if v in kset else Fraction(0) for v, w in enumerate(self.values))
-        )
-
-    def transfer(self, src: int, dst: int, amount: RationalLike) -> "WeightFunction":
-        """Move ``amount`` weight from ``src`` to ``dst``."""
-        a = _frac(amount)
-        if a < 0 or a > self.values[src]:
-            raise ValueError(f"cannot move {a} from vertex {src} holding {self.values[src]}")
-        vals = list(self.values)
-        vals[src] -= a
-        vals[dst] += a
-        return WeightFunction(tuple(vals))
-
     def to_lines(self) -> str:
         """Serialize as ``vertex numerator/denominator`` lines."""
         return "\n".join(
@@ -223,16 +206,6 @@ def any_vertex_bound(total: RationalLike, heavy: RationalLike, floor: RationalLi
     arbitrary vertex; attained by the far end of :func:`witness_path`."""
     n, h, k = Fraction(total), Fraction(heavy), Fraction(floor)
     return (n - h) * (n + h - k) / (2 * k)
-
-
-def median_weight_distance_bound(p: WeightProfile) -> Fraction:
-    """:func:`median_bound` of a validated profile."""
-    return median_bound(p.total, p.heavy, p.floor)
-
-
-def max_weight_distance_bound(p: WeightProfile) -> Fraction:
-    """:func:`any_vertex_bound` of a validated profile."""
-    return any_vertex_bound(p.total, p.heavy, p.floor)
 
 
 WitnessMode = Literal["proximity", "remoteness"]

@@ -17,7 +17,7 @@ import pytest
 import proxrem as px
 from proxrem.cli import main
 from proxrem.invariants import order_proximity_bound
-from proxrem.weighted import WeightProfile
+from proxrem.weighted import WeightProfile, any_vertex_bound, median_bound
 
 CORPUS_SEED = px.DEFAULT_SEED
 CORPUS_SIZE = 500
@@ -81,14 +81,14 @@ def test_criterion_3_witness_tightness():
             p = WeightProfile(total=heavy + steps * floor, floor=floor, heavy=heavy)
             t, c, v = px.witness_path(p, "proximity")
             d = px.all_pairs_distances(t)
-            ok = ok and px.weighted_distance(t, d, c, v) == px.median_weight_distance_bound(p)
+            ok = ok and px.weighted_distance(t, d, c, v) == median_bound(p.total, p.heavy, p.floor)
             ok = ok and v in px.c_median(t, d, c)
         else:
             heavy = floor * (1 + Fraction(rng.randint(1, 9), rng.randint(1, 5)))
             p = WeightProfile(total=heavy + steps * floor, floor=floor, heavy=heavy)
             t, c, v = px.witness_path(p, "remoteness")
             d = px.all_pairs_distances(t)
-            ok = ok and px.weighted_distance(t, d, c, v) == px.max_weight_distance_bound(p)
+            ok = ok and px.weighted_distance(t, d, c, v) == any_vertex_bound(p.total, p.heavy, p.floor)
     _finish(3, "witness tightness", ok, t0, 1.0)
 
 
@@ -106,8 +106,8 @@ def test_criterion_4_construction_invariants_and_chains(corpus):
         ok = ok and all(trace.weights[b] >= g.degree(b) + 1 for b in trace.anchors)
         ok = ok and sum(trace.weights.values()) == n
         inv = px.invariant_summary(g, d)
-        prox = px.certify_proximity_chain(g, trace, inv)
-        rem = px.certify_remoteness_chain(g, trace, inv)
+        prox = px.certify_proximity_chain(trace, inv)
+        rem = px.certify_remoteness_chain(trace, inv)
         ok = ok and all(link.holds for link in prox)
         ok = ok and all(link.holds for link in rem)
         if not ok:

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,16 @@ class TestCompute:
         assert doc["invariants"]["proximity"] == "4/3"
         assert doc["invariants"]["remoteness"] == "4/3"
         assert "." not in doc["invariants"]["proximity"]
+        # each average distance is transmissions[v]/(n-1) in lowest terms;
+        # on P6 the ends reduce (transmission 15 over 5 is "3/1")
+        f.write_text(px.render_graph(px.path_graph(6)))
+        for text in (out, _run(capsys, "compute", str(f))[1]):
+            inv = json.loads(text)["invariants"]
+            assert len(inv["avg_distances"]) == inv["order"]
+            for avg, t in zip(inv["avg_distances"], inv["transmissions"]):
+                num, den = map(int, avg.split("/"))
+                assert math.gcd(num, den) == 1
+                assert Fraction(num, den) == Fraction(t, inv["order"] - 1)
 
     def test_text_format(self, capsys, p5_file):
         code, out, _ = _run(capsys, "compute", p5_file, "--format", "text")
@@ -199,6 +211,23 @@ class TestOracle:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["oracle", "lemma-sweep", "--max-n", "0"], "--max-n"),
+            (["oracle", "lemma-sweep", "--max-n", "-3"], "--max-n"),
+            (["oracle", "lemma-sweep", "--max-order", "0"], "--max-order"),
+            (["extremal", "--delta", "3", "--sweep", "50", "20"], "--sweep"),
+            (["oracle", "bound-check", "--random", "5", "--max-n", "1"], "--max-n"),
+        ],
+        ids=["lemma-max-n-0", "lemma-max-n-negative", "lemma-max-order-0", "extremal-empty-sweep",
+             "random-max-n-1"],
+    )
+    def test_sweep_over_nothing_exits_2(self, capsys, argv, flag):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and flag in err
+
     def test_bound_check_trees(self, capsys):
         code, out, _ = _run(capsys, "oracle", "bound-check", "--trees", "5")
         assert code == 0
@@ -239,6 +268,31 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once_per_process(self, p5_file):
+        argvs = [["verify", p5_file], ["verify", "--no-such-flag", p5_file], ["compute", p5_file]]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import proxrem.cli as cli\n"
+            "built, real = [], cli.build_parser\n"
+            "cli.build_parser = lambda: built.append(1) or real()\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        results.append([cli.main(argv), buf.getvalue()])\n"
+            "print(json.dumps([len(built), results]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(px.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        built, results = json.loads(proc.stdout)
+        assert built == 1
+        fresh = [subprocess.run([sys.executable, "-m", "proxrem.cli", *argv], capture_output=True,
+                                text=True, env=env, timeout=120) for argv in argvs]
+        assert results == [[p.returncode, p.stdout] for p in fresh]
+        assert [code for code, _ in results] == [0, 2, 0]
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     def test_directory_path_exits_2(self, capsys, tmp_path, command):

@@ -14,6 +14,11 @@ from proxrem.graphs import tree_transmissions
 from .conftest import connected_graphs, floyd_warshall, labeled_trees, set_distance
 
 
+def _build(g):
+    """The construction on ``g`` with G's distances, as ``bound_report`` runs it."""
+    return px.build_construction(g, px.all_pairs_distances(g))
+
+
 def _verify_trace_invariants(g, trace):
     """Independent re-check of every structural claim on a trace."""
     n = g.n
@@ -58,7 +63,7 @@ def _verify_trace_invariants(g, trace):
 class TestPipelineExamples:
     def test_seven_path_trace(self):
         g = px.path_graph(7)
-        trace = px.build_construction(g)
+        trace = _build(g)
         assert trace_to_json(trace) == {
             "order": 7,
             "delta": 1,
@@ -77,7 +82,7 @@ class TestPipelineExamples:
 
     def test_star_trace(self):
         g = px.star_graph(5)
-        trace = px.build_construction(g)
+        trace = _build(g)
         assert trace.anchors == (0,)
         assert trace.tree == g
         assert trace.aux.n == 1
@@ -86,14 +91,14 @@ class TestPipelineExamples:
 
     def test_complete_graph_trace(self):
         g = px.complete_graph(7)
-        trace = px.build_construction(g)
+        trace = _build(g)
         assert trace.anchors == (0,)
         assert sorted(trace.tree.edges()) == [(0, v) for v in range(1, 7)]
         _verify_trace_invariants(g, trace)
 
     def test_nine_cycle_trace(self):
         g = px.cycle_graph(9)
-        trace = px.build_construction(g)
+        trace = _build(g)
         assert trace.anchors == (0, 3, 6)
         assert trace.weights == {0: 3, 3: 3, 6: 3}
         assert trace.w0 == 3
@@ -101,7 +106,7 @@ class TestPipelineExamples:
 
     def test_golden_trace_seeded_graph(self):
         g = px.sample_corpus(42, 1, 12)[0]
-        assert trace_to_json(px.build_construction(g)) == {
+        assert trace_to_json(_build(g)) == {
             "order": 12,
             "delta": 1,
             "Delta": 6,
@@ -116,21 +121,21 @@ class TestPipelineExamples:
 
     def test_determinism(self):
         g = px.sample_corpus(7, 1, 40)[0]
-        assert trace_to_json(px.build_construction(g)) == trace_to_json(
-            px.build_construction(g)
+        assert trace_to_json(_build(g)) == trace_to_json(
+            _build(g)
         )
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            px.build_construction(px.graph_from_edges(1, []))
+            _build(px.graph_from_edges(1, []))
         with pytest.raises(ValueError):
-            px.build_construction(px.graph_from_edges(4, [(0, 1), (2, 3)]))
+            _build(px.graph_from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestSubOperations:
     def test_contract_weights_assigns_anchors_to_themselves(self):
         g = px.cycle_graph(9)
-        trace = px.build_construction(g)
+        trace = _build(g)
         assignment, counts = px.contract_weights(trace.tree, trace.anchors)
         assert assignment == trace.nearest_anchor
         assert counts == trace.weights
@@ -139,7 +144,7 @@ class TestSubOperations:
 
     def test_auxiliary_graph_single_anchor(self):
         g = px.star_graph(3)
-        trace = px.build_construction(g)
+        trace = _build(g)
         aux = px.auxiliary_graph(trace.tree, trace.anchors)
         assert aux.n == 1 and aux.edge_count() == 0
 
@@ -277,26 +282,25 @@ class TestChains:
         ids=["K6", "P7", "C12", "star9", "K2"],
     )
     def test_chains_hold(self, g):
-        trace = px.build_construction(g)
-        prox = px.certify_proximity_chain(g, trace)
-        rem = px.certify_remoteness_chain(g, trace)
+        trace, inv = _build(g), px.invariant_summary(g)
+        prox = px.certify_proximity_chain(trace, inv)
+        rem = px.certify_remoteness_chain(trace, inv)
         assert all(link.holds for link in prox), [l for l in prox if not l.holds]
         assert all(link.holds for link in rem), [l for l in rem if not l.holds]
 
     def test_chain_is_transitive_to_final_bound(self):
         g = px.cycle_graph(12)
-        trace = px.build_construction(g)
-        links = {l.name: l for l in px.certify_proximity_chain(g, trace)}
+        trace, inv = _build(g), px.invariant_summary(g)
+        links = {l.name: l for l in px.certify_proximity_chain(trace, inv)}
         bounds = px.degree_range_bounds(g.n, trace.delta, trace.Delta)
-        inv = px.invariant_summary(g)
         assert links["proximity_bound"].lhs == inv.proximity
         assert links["proximity_bound"].rhs == bounds.pi_bound
 
     def test_extremal_graph_chain(self):
         g = px.extremal_graph(px.ExtremalParams(20, 3, 8))
-        trace = px.build_construction(g)
-        assert all(l.holds for l in px.certify_proximity_chain(g, trace))
-        rem = px.certify_remoteness_chain(g, trace)
+        trace, inv = _build(g), px.invariant_summary(g)
+        assert all(l.holds for l in px.certify_proximity_chain(trace, inv))
+        rem = px.certify_remoteness_chain(trace, inv)
         assert all(l.holds for l in rem)
         final = [l for l in rem if l.name == "remoteness_bound"][0]
         assert final.rhs == Fraction(259, 19)
@@ -304,10 +308,10 @@ class TestChains:
     @given(connected_graphs(max_order=14))
     @settings(max_examples=60, deadline=None)
     def test_chains_hold_on_random_graphs(self, g):
-        trace = px.build_construction(g)
+        trace, inv = _build(g), px.invariant_summary(g)
         _verify_trace_invariants(g, trace)
-        assert all(l.holds for l in px.certify_proximity_chain(g, trace))
-        assert all(l.holds for l in px.certify_remoteness_chain(g, trace))
+        assert all(l.holds for l in px.certify_proximity_chain(trace, inv))
+        assert all(l.holds for l in px.certify_remoteness_chain(trace, inv))
 
 
 def _tree_by_documented_rule(g, anchors):
@@ -336,7 +340,7 @@ class TestAnchorTree:
     @given(connected_graphs(max_order=14))
     @settings(max_examples=80, deadline=None)
     def test_tree_follows_documented_rule(self, g):
-        trace = px.build_construction(g)
+        trace = _build(g)
         assert trace.tree == _tree_by_documented_rule(g, trace.anchors)
 
 
@@ -366,7 +370,7 @@ class TestDistanceReuse:
     @given(connected_graphs(max_order=12))
     @settings(max_examples=40, deadline=None)
     def test_trace_distances_match_floyd_warshall(self, g):
-        trace = px.build_construction(g)
+        trace = _build(g)
         fw_tree = floyd_warshall(trace.tree)
         assert trace.d_aux.matrix.tolist() == floyd_warshall(trace.aux)
         assert trace.tree_summary == px.invariant_summary(trace.tree)
@@ -386,13 +390,13 @@ class TestDistanceReuse:
     )
     def test_report_chains_equal_standalone_chains(self, g):
         report = px.bound_report(g, include_chains=True)
-        trace = px.build_construction(g)
-        assert report.proximity_chain == px.certify_proximity_chain(g, trace)
-        assert report.remoteness_chain == px.certify_remoteness_chain(g, trace)
+        trace, inv = _build(g), px.invariant_summary(g)
+        assert report.proximity_chain == px.certify_proximity_chain(trace, inv)
+        assert report.remoteness_chain == px.certify_remoteness_chain(trace, inv)
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)
-        a, b = px.build_construction(g), px.build_construction(g)
+        a, b = _build(g), _build(g)
         assert a.d_aux is not b.d_aux and a == b
         assert "d_aux" not in repr(a) and "tree_summary" not in repr(a)
 

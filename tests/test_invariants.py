@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import proxrem as px
 
-from .conftest import bfs_spanning_tree, connected_graphs
+from .conftest import bfs_spanning_tree, connected_graphs, floyd_warshall
 
 
 class TestTransmission:
@@ -56,11 +56,13 @@ class TestSummary:
     @settings(max_examples=80)
     def test_structural_invariants(self, g):
         inv = px.invariant_summary(g)
-        assert inv.proximity == min(inv.avg_distances)
-        assert inv.remoteness == max(inv.avg_distances)
+        trans = inv.transmissions
+        assert list(trans) == [sum(row) for row in floyd_warshall(g)]
+        assert inv.proximity == Fraction(min(trans), g.n - 1)
+        assert inv.remoteness == Fraction(max(trans), g.n - 1)
         assert 1 <= inv.proximity <= inv.remoteness
-        for v in range(g.n):
-            assert inv.transmissions[v] == (g.n - 1) * inv.avg_distances[v]
+        assert inv.median == tuple(v for v in range(g.n) if trans[v] == min(trans))
+        assert inv.antimedian == tuple(v for v in range(g.n) if trans[v] == max(trans))
 
 
 class TestClassicalBounds:

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from math import comb
 
@@ -157,11 +156,6 @@ class TestRandomSampler:
         for g in px.sample_corpus(99, 50, 20):
             assert 2 <= g.n <= 20
             assert px.is_connected(g)
-
-    def test_fixed_order(self):
-        rng = random.Random(0)
-        g = px.random_connected_graph(rng, 30, order=17)
-        assert g.n == 17
 
 
 class TestBoundCheck:

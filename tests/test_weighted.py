@@ -15,6 +15,14 @@ def _wp(total, heavy, floor=1):
     return WeightProfile.of(total, heavy, floor)
 
 
+def _median(p):
+    return median_bound(p.total, p.heavy, p.floor)
+
+
+def _any(p):
+    return any_vertex_bound(p.total, p.heavy, p.floor)
+
+
 class TestWeightFunction:
     def test_total_and_support(self):
         c = px.WeightFunction.of([0, Fraction(1, 2), 3])
@@ -24,16 +32,6 @@ class TestWeightFunction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             px.WeightFunction.of([1, -1])
-
-    def test_restrict(self):
-        c = px.WeightFunction.of([1, 2, 3]).restrict([0, 2])
-        assert c.values == (1, 0, 3)
-
-    def test_transfer(self):
-        c = px.WeightFunction.of([3, 1]).transfer(0, 1, Fraction(1, 2))
-        assert c.values == (Fraction(5, 2), Fraction(3, 2))
-        with pytest.raises(ValueError):
-            px.WeightFunction.of([1, 1]).transfer(0, 1, 2)
 
     def test_line_round_trip(self):
         c = px.WeightFunction.of([Fraction(3, 7), 0, 5])
@@ -145,14 +143,14 @@ class TestProfileBounds:
         assert _wp(5, 3, 1).steps == 2
 
     def test_median_bound_values(self):
-        assert px.median_weight_distance_bound(_wp(5, 3)) == 3
-        assert px.median_weight_distance_bound(_wp(10, 3)) == 27
-        assert px.median_weight_distance_bound(_wp(4, 4)) == 0
+        assert _median(_wp(5, 3)) == 3
+        assert _median(_wp(10, 3)) == 27
+        assert _median(_wp(4, 4)) == 0
 
     def test_any_vertex_bound_values(self):
-        assert px.max_weight_distance_bound(_wp(5, 3)) == 7
-        assert px.max_weight_distance_bound(_wp(4, 4)) == 0
-        assert px.max_weight_distance_bound(_wp(10, 6, 2)) == 14
+        assert _any(_wp(5, 3)) == 7
+        assert _any(_wp(4, 4)) == 0
+        assert _any(_wp(10, 6, 2)) == 14
 
     def test_bare_forms_exact_for_ints(self):
         # with plain ints (5-3)*(5-3+1)/(2*1) would be the float 3.0
@@ -168,11 +166,11 @@ class TestProfileBounds:
             p = _wp(total, heavy, floor)
             t, c, v = px.witness_path(p, "remoteness")
             d = px.all_pairs_distances(t)
-            assert px.weighted_distance(t, d, c, v) == px.max_weight_distance_bound(p)
+            assert px.weighted_distance(t, d, c, v) == _any(p)
             if 2 * p.heavy > p.total:
                 t, c, v = px.witness_path(p, "proximity")
                 d = px.all_pairs_distances(t)
-                assert px.weighted_distance(t, d, c, v) == px.median_weight_distance_bound(p)
+                assert px.weighted_distance(t, d, c, v) == _median(p)
                 assert v in px.c_median(t, d, c)
 
     def test_witness_path_shape(self):
@@ -189,5 +187,5 @@ class TestProfileBounds:
         # scaling (total, heavy, floor) by t scales both bounds by t
         base = _wp(9, 5, 1)
         scaled = _wp(27, 15, 3)
-        assert px.median_weight_distance_bound(scaled) == 3 * px.median_weight_distance_bound(base)
-        assert px.max_weight_distance_bound(scaled) == 3 * px.max_weight_distance_bound(base)
+        assert _median(scaled) == 3 * _median(base)
+        assert _any(scaled) == 3 * _any(base)
