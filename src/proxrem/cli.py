@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 a verified claim failed (counterexample found),
 2 usage or input error (an unreadable path, a disconnected graph or one
 above ``graphs.MAX_ORDER`` vertices included), 3 an internal error: any
 other exception, reported as one ``internal error:`` line on stderr so
-that a crash never reads as a counterexample.  ``verify --chain`` makes
-two all-pairs distance computations (G and the auxiliary graph F); the
-spanning tree is read through BFS rows and balls, with no matrix.
+that a crash never reads as a counterexample.  ``compute`` and ``verify``
+read G's transmissions, which come with no n×n array; ``verify --chain``
+also builds the all-pairs matrix of the auxiliary graph F, and reads the
+spanning tree through BFS rows and balls, with no matrix.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays

@@ -12,6 +12,7 @@ order, minimum degree and maximum degree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -92,10 +93,14 @@ def q_adjustment(n: int, Delta: int, delta: int) -> int:
     return (Delta + 1 - n) % (delta + 1)
 
 
-def _grow_anchor_tree(
-    g: Graph, d: DistanceOracle
-) -> tuple[list[int], list[tuple[int, int]], bytearray]:
-    """Grow B and the core tree T' of anchor stars plus connecting edges."""
+def _grow_anchor_tree(g: Graph) -> tuple[list[int], list[tuple[int, int]], bytearray]:
+    """Grow B and the core tree T' of anchor stars plus connecting edges.
+
+    ``dist`` is each vertex's set-distance to B, capped at 4 for "more
+    than 3"; a new anchor relaxes it through its radius-3 ball alone.
+    ``at3`` is a heap of the vertices that reached 3, and an entry is stale
+    once its vertex has come closer.
+    """
     degs = [g.degree(v) for v in range(g.n)]
     b0 = degs.index(max(degs))
     anchors = [b0]
@@ -114,12 +119,18 @@ def _grow_anchor_tree(
             edges.append((b, w))
 
     add_star(b0)
-    dist_to_b = np.array(d.row(b0))
+    dist = [4] * g.n
+    at3: list[int] = []
+    b = b0
     while True:
-        at3 = np.nonzero(dist_to_b == 3)[0]
-        if at3.size == 0:
+        for v in _ball(g.adj, b, 3, dist)[1]:
+            if dist[v] == 3:
+                heapq.heappush(at3, v)
+        while at3 and dist[at3[0]] < 3:
+            heapq.heappop(at3)
+        if not at3:
             break
-        b = int(at3[0])
+        b = heapq.heappop(at3)
         star = (b, *g.adj[b])
         # the lexicographically smallest tree-to-star edge, read off the star side
         connector = min(((x, y) for y in star for x in g.adj[y] if in_tree[x]), default=None)
@@ -127,8 +138,7 @@ def _grow_anchor_tree(
         add_star(b)
         edges.append(connector)  # type: ignore[arg-type]
         anchors.append(b)
-        dist_to_b = np.minimum(dist_to_b, d.row(b))
-    _require(int(dist_to_b.max()) <= 2, "anchors fail to dominate at radius 2")
+    _require(max(dist) <= 2, "anchors fail to dominate at radius 2")
     return anchors, edges, in_tree
 
 
@@ -137,19 +147,17 @@ def contract_weights(
 ) -> tuple[tuple[int, ...], dict[int, int]]:
     """Assign every vertex of ``tree`` to its nearest anchor in the tree.
 
-    Ties break to the lowest anchor vertex id: radius-2 balls are taken
-    around the anchors in ascending id, and a later ball takes a vertex
-    only when it is strictly closer.  Returns the assignment and the
-    contracted integer weights (anchor -> number of assigned vertices).
+    Ties break to the lowest anchor vertex id: radius-2 balls are relaxed
+    into ``best`` around the anchors in ascending id, and a later ball
+    takes a vertex only when it is strictly closer, so each ball costs the
+    vertices it takes.  Returns the assignment and the contracted integer
+    weights (anchor -> number of assigned vertices).
     """
     best = [INF] * tree.n
     nearest = [-1] * tree.n
     for b in sorted(anchors):
-        dist, reached = _ball(tree.adj, b, 2)
-        for v in reached:
-            if dist[v] < best[v]:
-                best[v] = dist[v]
-                nearest[v] = b
+        for v in _ball(tree.adj, b, 2, best)[1]:
+            nearest[v] = b
     _require(INF not in best, "a vertex is farther than 2 from every anchor")
     counts = {b: 0 for b in anchors}
     for b in nearest:
@@ -182,8 +190,8 @@ def auxiliary_graph(tree: Graph, anchors: Sequence[int]) -> Graph:
 
 
 def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
-    """Run the full pipeline on a connected graph of order >= 2 whose
-    all-pairs distances are ``d``.
+    """Run the full pipeline on a connected graph of order >= 2; ``d`` is
+    G's oracle, read for its connectivity alone.
 
     Deterministic: the root is the lowest-index maximum-degree vertex,
     each new anchor is the lowest-index vertex at set-distance exactly 3,
@@ -192,11 +200,11 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
     """
     if g.n < 2:
         raise ValueError("construction needs at least two vertices")
-    if INF in d.row(0):
+    if not d.connected:
         raise ValueError("construction needs a connected graph")
     delta, Delta = degree_stats(g)
 
-    anchors, edges, in_core = _grow_anchor_tree(g, d)
+    anchors, edges, in_core = _grow_anchor_tree(g)
     b0 = anchors[0]
     core = bytes(in_core)
     for v in range(g.n):
@@ -206,10 +214,12 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
         _require(host is not None, f"leftover vertex {v} has no neighbor in the core tree")
         edges.append((host, v))  # type: ignore[arg-type]
     tree = graph_from_edges(g.n, edges)
-    _require(tree.edge_count() == g.n - 1 and is_connected(tree), "result is not a spanning tree")
+    try:
+        parent, tree_trans = tree_transmissions(tree, b0)
+    except ValueError:
+        raise ConstructionError("result is not a spanning tree") from None
     _require(tree.degree(b0) == g.degree(b0) == Delta, "root degree not preserved")
 
-    parent, tree_trans = tree_transmissions(tree, b0)
     assignment, counts = contract_weights(tree, anchors)
     for b in anchors:
         _require(assignment[b] == b, f"anchor {b} not assigned to itself")

@@ -8,8 +8,9 @@ rely on that for reproducible tie-breaking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,12 +27,13 @@ INF: int = 2**31 - 1
 _NUMPY_MIN_ORDER = 25
 
 #: The bit-parallel kernel runs when ``2·ecc(0)``, which bounds both the
-#: diameter and its level count, is at most this; the bound also keeps its
-#: uint8 counters exact.  A level costs O((2m + 8n)·⌈n/64⌉) word operations
+#: diameter and its level count, is at most this; the bound also keeps the
+#: uint8 counters of its ``.matrix`` exact (the transmissions count in
+#: int64).  A level of the matrix costs O((2m + 8n)·⌈n/64⌉) word operations
 #: (about 5 ms at n = 2000), while scipy's cost depends on the graph's
-#: shape more than on its diameter (160–1060 ms at n = 2000).  Measured
-#: crossover diameters, same machine: about 15 on the dense extremal
-#: family at n ≤ 120, 27 on a 4×25 grid, 80–130 on grids of order
+#: shape more than on its diameter (160–1060 ms at n = 2000).  Measured on
+#: the matrix, same machine: crossover diameters about 15 on the dense
+#: extremal family at n ≤ 120, 27 on a 4×25 grid, 80–130 on grids of order
 #: 1000–2000.  With the cap at 32: the eight ``verify-large`` graphs (seeds
 #: 1729 and 7) take 39–101 ms against 731–1059 ms; 320 random graphs of
 #: order 25–60 take 54 ms against 233 ms; of the 1,641 ``extremal --sweep
@@ -41,14 +43,28 @@ _NUMPY_MIN_ORDER = 25
 #: there, 48× on the extremal graph (2000, 3, 120).
 _BITSET_MAX_LEVELS = 32
 
-#: Largest order :func:`parse_graph` accepts.  ``verify --chain`` peaks
-#: while G's distances are computed, by ``tracemalloc`` at n = 1000 and
-#: 2000: 9.4·n² bytes on the bitset path (mean degree 3), 16·n² on the
-#: scipy path (a 10-wide grid; its float64 result plus the int64 copy).
-#: T adds no n×n array and F's matrix is O(anchors²), so the rest of the
-#: run stays under G's int64 matrix, 8·n².  That is about 1.6 GB at
-#: n = 10⁴.  A larger document is refused before :func:`graph_from_edges`
-#: allocates its n adjacency sets.
+#: Sources per batch of the matrix-free transmissions, 64·k with k = 1, on
+#: both numpy backends: a batch holds O((n + m)·k) words, or 64 scipy rows.
+#: Best of 3 on the seed-1729 ``verify-large`` graphs (deg16/deg3/deg6/hub,
+#: same machine), bit-parallel ms and ``tracemalloc`` peak: k = 1
+#: 21/21/17/16 ms, 0.2–0.6 MB; k = 2 44/35/32/27 ms; k = 8 21/18/15/13 ms,
+#: 1.1–3.0 MB; k = 16 36/16/14/11 ms, 2.2–5.7 MB.  scipy rows at n = 2000
+#: (10-wide grid / path): 190/86 ms in batches of 64, 170/75 ms of 256;
+#: at n = 1000 (grid) the batch peaks at 0.63·n² bytes, 2.2·n² at 256.  On
+#: the ``extremal --sweep 16 120`` graphs of order ≥ 25, interleaved: the
+#: 480 on the kernel take 0.33 s (k = 1) against 0.51 s as a summed matrix,
+#: the 1,128 on scipy 1.34 s in batches of 64 against 1.25 s.
+_BATCH_SOURCES = 64 * 1
+
+#: Largest order :func:`parse_graph` accepts.  ``verify --chain`` builds no
+#: n×n array of G or T; by ``tracemalloc`` at n = 1000 and 2000 it peaks at
+#: 0.53·n² and 0.47·n² bytes on the bitset path (mean degree 3), 0.72·n²
+#: and 0.66·n² on the scipy path (a 10-wide grid).  What is left is F's
+#: matrix, O(anchors²): on a path, with an anchor every third vertex, it
+#: reaches 1.9·n² (n = 2000 and 4000), about 190 MB at n = 10⁴.  The cap
+#: stays because ``auxiliary_graph`` still takes O(anchors·n) time.  A
+#: larger document is refused before :func:`graph_from_edges` allocates
+#: its n adjacency sets.
 MAX_ORDER = 10_000
 
 
@@ -90,9 +106,28 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceOracle:
-    """All-pairs hop distances; ``INF`` marks unreachable pairs."""
+    """Hop distances of one graph; each view is computed on first read and
+    cached, so a caller pays only for what it reads.
 
-    matrix: np.ndarray  # (n, n) int64
+    ``transmissions`` are every vertex's distance sum, exact and computed
+    with no n×n array, or ``None`` when the graph is disconnected.
+    ``matrix`` holds all pairs, int64, with ``INF`` marking unreachable
+    pairs.
+    """
+
+    connected: bool
+    _sum_rows: Callable[[], tuple[int, ...]] = field(repr=False)
+    _build_matrix: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def transmissions(self) -> tuple[int, ...] | None:
+        return self._sum_rows() if self.connected else None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self._build_matrix()
+        mat.setflags(write=False)
+        return mat
 
     def d(self, u: int, v: int) -> int:
         return int(self.matrix[u, v])
@@ -188,15 +223,27 @@ def is_connected(g: Graph) -> bool:
     return INF not in _bfs(g.adj, 0)
 
 
-def _ball(adj: Sequence[Sequence[int]], s: int, radius: int) -> tuple[list[int], list[int]]:
-    """Hop distances from ``s`` up to ``radius``, ``INF`` beyond it or where
-    unreachable, and the vertices reached, in visit order (nondecreasing
-    distance).
+def _ball(
+    adj: Sequence[Sequence[int]], s: int, radius: int, dist: list[int] | None = None
+) -> tuple[list[int], list[int]]:
+    """Relax hop distances from ``s``, up to ``radius``, into ``dist``;
+    return ``dist`` and the vertices whose distance dropped, in visit order
+    (nondecreasing new distance).
+
+    Without ``dist`` this is a fresh ball: hop distances up to ``radius``,
+    ``INF`` beyond it or where unreachable.  A caller growing a source set
+    passes f, each vertex's distance to the earlier sources, or any value
+    above ``radius`` where that distance is above ``radius``; ``s`` joins
+    the set, and a vertex is visited only when its distance strictly drops.
+    That is exact: if ``s`` does not bring a vertex w closer, then neither
+    any vertex x that a shortest path from ``s`` reaches through w, since
+    d(s, x) = d(s, w) + d(w, x) ≥ f(w) + d(w, x) ≥ f(x).
 
     The one hand-rolled BFS in the package; every other distance comes
     from here, from the bit-parallel kernel or from the scipy backend.
     """
-    dist = [INF] * len(adj)
+    if dist is None:
+        dist = [INF] * len(adj)
     dist[s] = 0
     reached = [s]
     dq = deque(reached)
@@ -206,7 +253,7 @@ def _ball(adj: Sequence[Sequence[int]], s: int, radius: int) -> tuple[list[int],
         if du > radius:
             break  # every vertex still queued is as far as u
         for w in adj[u]:
-            if dist[w] == INF:
+            if du < dist[w]:
                 dist[w] = du
                 reached.append(w)
                 dq.append(w)
@@ -218,10 +265,14 @@ def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int]:
     return _ball(adj, s, INF)[0]
 
 
-def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
+def _bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     # the kernel itself, not _bfs: a wrapper call per row is a tenth of a
     # row's cost on the order-7 trees of the oracle sweeps
-    return np.array([_ball(adj, s, INF)[0] for s in range(len(adj))], dtype=np.int64)
+    return [_ball(adj, s, INF)[0] for s in range(len(adj))]
+
+
+def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    return np.array(_bfs_rows(adj), dtype=np.int64)
 
 
 def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -232,40 +283,76 @@ def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    """Multi-source BFS from every vertex at once, 64 sources per word.
+def _msbfs_levels(
+    indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Multi-source BFS from the sources ``lo..hi-1`` at once, 64 per word.
 
-    Bit s of ``unseen[v]`` is set while source s has not reached v; each
-    level ORs the frontier rows of v's neighbours, and every level at
-    which a bit is still unseen adds 1 to that cell, so the cell ends as
-    the hop distance.  ``reduceat`` misreads empty segments, so every
-    vertex needs a neighbour: the caller passes connected graphs of order
-    at least 2 only.  The uint8 counter holds any diameter up to 255; the
-    dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS`` here.
+    Bit s − lo of ``unseen[v]`` is set while source s has not reached v.
+    Each level ORs the frontier rows of v's neighbours; it yields the level,
+    the cells it reaches (``nxt``) and the cells unseen before it (``nxt``
+    included), then moves on.  ``reduceat`` misreads empty segments, so
+    every vertex needs a neighbour: callers pass connected graphs of order
+    at least 2 only.
     """
-    n = len(adj)
-    indptr, indices = _csr(adj)
+    n = len(indptr) - 1
     starts = indptr[:-1]
-    words = -(-n // 64)
-    src = np.arange(n)
+    src = np.arange(lo, hi)
+    bit = src - lo
     # little-endian words, so that unpackbits(bitorder="little") of a row
     # lists the sources in order on any host
-    frontier = np.zeros((n, words), dtype="<u8")
-    frontier[src, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
+    frontier = np.zeros((n, -(-(hi - lo) // 64)), dtype="<u8")
+    frontier[src, bit >> 6] = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
     unseen = ~frontier
-    acc = np.zeros((n, 64 * words), dtype=np.uint8)
+    level = 0
     while True:
         nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
         nxt &= unseen
         if not nxt.any():
-            break
-        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
+            return
+        level += 1
+        yield level, nxt, unseen
         unseen ^= nxt
         frontier = nxt
+
+
+def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """The bit-parallel BFS from every source in one batch, as a matrix.
+
+    Every level at which a cell is still unseen adds 1 to it, so the cell
+    ends as the hop distance.  The uint8 counter holds any diameter up to
+    255; the dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS``
+    here.
+    """
+    n = len(adj)
+    acc = np.zeros((n, 64 * -(-n // 64)), dtype=np.uint8)
+    for _, _, unseen in _msbfs_levels(*_csr(adj), 0, n):
+        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
     return acc[:, :n].astype(np.int64)
 
 
-def _distances_scipy(adj: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _transmissions_bitset(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Transmissions from the bit-parallel BFS, ``_BATCH_SOURCES`` sources
+    at a time.
+
+    A set bit of ``nxt[v]`` at level l is a source at distance l from v, and
+    distances are symmetric, so l times the popcount of v's row, summed over
+    the levels and the batches, is v's transmission.  Counts are int64; no
+    bit is unpacked.
+    """
+    n = len(adj)
+    batch = _BATCH_SOURCES
+    indptr, indices = _csr(adj)
+    trans = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, batch):
+        for level, nxt, _ in _msbfs_levels(indptr, indices, lo, min(lo + batch, n)):
+            trans += level * np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
+    return tuple(trans.tolist())
+
+
+def _dijkstra(adj: Sequence[Sequence[int]]) -> Callable[..., np.ndarray]:
+    """scipy's unweighted Dijkstra on ``adj``, to be called with or without
+    ``indices``; float64 rows, ``inf`` where unreachable."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -274,28 +361,56 @@ def _distances_scipy(adj: tuple[tuple[int, ...], ...]) -> np.ndarray:
     data = np.ones(len(indices), dtype=np.int8)
     csr = csr_matrix((data, indices, indptr), shape=(n, n))
     # adjacency is symmetric, so directed traversal is equivalent and cheaper
-    dist = dijkstra(csr, directed=True, unweighted=True)
+    return partial(dijkstra, csr, directed=True, unweighted=True)
+
+
+def _distances_scipy(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    dist = _dijkstra(adj)()
     dist[np.isinf(dist)] = INF
     return dist.astype(np.int64)
 
 
-def all_pairs_distances(g: Graph) -> DistanceOracle:
-    """BFS hop distances from every source.
+def _transmissions_scipy(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Transmissions of a connected graph from scipy, ``_BATCH_SOURCES``
+    source rows at a time; each row holds small whole numbers, summed in
+    int64."""
+    n = len(adj)
+    batch = _BATCH_SOURCES
+    run = _dijkstra(adj)
+    trans = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, batch):
+        hi = min(lo + batch, n)
+        trans[lo:hi] = run(indices=np.arange(lo, hi)).sum(axis=1, dtype=np.int64)
+    return tuple(trans.tolist())
 
-    Picks one of three backends, which produce the identical integer
-    matrix (unit tests cross-check them): Python BFS rows below order
+
+def all_pairs_distances(g: Graph) -> DistanceOracle:
+    """G's hop distances: its connectivity now, its transmissions and its
+    all-pairs matrix on first read.
+
+    Picks one of three backends, which give identical transmissions and
+    matrices (unit tests cross-check them): Python BFS rows below order
     ``_NUMPY_MIN_ORDER``; the bit-parallel kernel when twice the
     eccentricity of vertex 0, which bounds the diameter, is at most
     ``_BITSET_MAX_LEVELS``; scipy otherwise, disconnected graphs included.
+    Vertex 0's BFS row also shows whether the graph is connected.
     """
+    adj = g.adj
     if g.n < _NUMPY_MIN_ORDER:
-        mat = _distances_python(g.adj)
-    elif 2 * max(_bfs(g.adj, 0)) <= _BITSET_MAX_LEVELS:
-        mat = _distances_bitset(g.adj)
-    else:
-        mat = _distances_scipy(g.adj)
-    mat.setflags(write=False)
-    return DistanceOracle(mat)
+        rows = _bfs_rows(adj)
+        return DistanceOracle(
+            INF not in rows[0],
+            lambda: tuple(map(sum, rows)),
+            lambda: np.array(rows, dtype=np.int64),
+        )
+    row0 = _bfs(adj, 0)
+    if 2 * max(row0) <= _BITSET_MAX_LEVELS:
+        return DistanceOracle(
+            True, lambda: _transmissions_bitset(adj), lambda: _distances_bitset(adj)
+        )
+    return DistanceOracle(
+        INF not in row0, lambda: _transmissions_scipy(adj), lambda: _distances_scipy(adj)
+    )
 
 
 def tree_transmissions(t: Graph, root: int) -> tuple[list[int], list[int]]:

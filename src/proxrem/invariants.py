@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .graphs import INF, DistanceOracle, Graph, all_pairs_distances
+from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ def invariant_summary(g: Graph, oracle: DistanceOracle | None = None) -> Invaria
     if g.n < 2:
         raise ValueError("invariants need at least two vertices")
     d = oracle if oracle is not None else all_pairs_distances(g)
-    if INF in d.row(0):
+    if not d.connected:
         raise ValueError("invariants undefined on a disconnected graph")
-    return summarize_transmissions(d.matrix.sum(axis=1).tolist())
+    return summarize_transmissions(d.transmissions)
 
 
 def summarize_transmissions(transmissions: Sequence[int]) -> InvariantSummary:

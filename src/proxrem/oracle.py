@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,14 +35,15 @@ def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T], jobs: int) -> list
     """Order-preserving map, optionally across a process pool.
 
     Results are identical for any ``jobs`` value; parallelism only shards
-    the work.
+    the work.  The pool never has more workers than items or CPUs.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     from multiprocessing import get_context
 
-    with get_context("fork").Pool(min(jobs, len(items))) as pool:
+    with get_context("fork").Pool(workers) as pool:
         return pool.map(fn, items)
 
 

@@ -125,6 +125,37 @@ class TestPipelineExamples:
             _build(g)
         )
 
+    def test_broken_tree_is_a_construction_error(self, monkeypatch, tmp_path, capsys):
+        # T's connectivity is read off its one rerooting BFS; a core tree
+        # missing its connector fails there with the spanning-tree message,
+        # and verify exits 1 as for any failed construction invariant
+        from proxrem import construction
+        from proxrem.cli import main
+
+        real = construction._grow_anchor_tree
+
+        def drop_connector(g):
+            anchors, edges, in_tree = real(g)
+            return anchors, edges[:-1], in_tree
+
+        monkeypatch.setattr(construction, "_grow_anchor_tree", drop_connector)
+        with pytest.raises(px.ConstructionError, match="^result is not a spanning tree$"):
+            _build(px.path_graph(7))
+        f = tmp_path / "p7.edges"
+        f.write_text(px.render_graph(px.path_graph(7)))
+        assert main(["verify", "--chain", str(f)]) == 1
+        assert capsys.readouterr().err == (
+            "construction invariant failed: result is not a spanning tree\n"
+        )
+
+    def test_tree_is_searched_once(self, monkeypatch):
+        from proxrem import construction
+
+        checked = []
+        monkeypatch.setattr(construction, "is_connected", lambda h: checked.append(h.n) or True)
+        trace = _build(px.path_graph(7))
+        assert checked == [len(trace.anchors)]  # F only; T's BFS is tree_transmissions
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             _build(px.graph_from_edges(1, []))
@@ -226,16 +257,28 @@ class TestMatrixFreeTree:
             stage(px.path_graph(10), anchors)
 
 
+def _sparse_order_1000():
+    # a random recursive tree plus chords: order 1000, mean degree 3 and a
+    # small diameter, so G takes the bit-parallel kernel
+    rng = random.Random(1000)
+    n = 1000
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    return px.graph_from_edges(n, [(u, v) for u, v in edges if u != v])
+
+
+def _grid(width, height):
+    n = width * height
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % width]
+    edges += [(v, v + width) for v in range(n - width)]
+    return px.graph_from_edges(n, edges)
+
+
 class TestMemory:
     def test_chains_peak_below_12_n_squared_bytes(self):
-        # a random recursive tree plus chords: order 1000, mean degree 3 and
-        # a small diameter, so G takes the bit-parallel kernel; T and the
-        # construction's stages must add no n×n array on top of G's matrix
-        rng = random.Random(1000)
-        n = 1000
-        edges = [(rng.randrange(v), v) for v in range(1, n)]
-        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
-        g = px.graph_from_edges(n, [(u, v) for u, v in edges if u != v])
+        # T and the construction's stages must add no n×n array
+        g = _sparse_order_1000()
+        n = g.n
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
         tracemalloc.start()
         try:
@@ -245,6 +288,27 @@ class TestMemory:
             tracemalloc.stop()
         assert report.all_hold()
         assert peak < 12 * n * n
+
+    @pytest.mark.parametrize(
+        "make, bitset", [(_sparse_order_1000, True), (lambda: _grid(10, 100), False)],
+        ids=["bitset", "scipy"],
+    )
+    def test_chains_peak_below_2_n_squared_bytes(self, make, bitset):
+        # G's transmissions come in batches and its matrix is never built,
+        # so nothing of order n² is left; the warm-up keeps the one-time
+        # scipy import out of the measurement
+        px.bound_report(_grid(3, 30), include_chains=True)
+        g = make()
+        n = g.n
+        assert (2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS) == bitset
+        tracemalloc.start()
+        try:
+            report = px.bound_report(g, include_chains=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_hold()
+        assert peak < 2 * n * n
 
 
 class TestDegreeRangeBounds:
@@ -336,12 +400,45 @@ def _tree_by_documented_rule(g, anchors):
     return px.graph_from_edges(g.n, edges)
 
 
+def _anchors_by_matrix_rule(g):
+    """B by full distance rows: start at the lowest max-degree vertex, then
+    take the lowest vertex at set-distance exactly 3 until there is none."""
+    fw = floyd_warshall(g)
+    degs = [g.degree(v) for v in range(g.n)]
+    anchors = [degs.index(max(degs))]
+    dist = list(fw[anchors[0]])
+    while 3 in dist:
+        b = dist.index(3)
+        anchors.append(b)
+        dist = [min(x, y) for x, y in zip(dist, fw[b])]
+    return tuple(anchors)
+
+
 class TestAnchorTree:
     @given(connected_graphs(max_order=14))
     @settings(max_examples=80, deadline=None)
     def test_tree_follows_documented_rule(self, g):
         trace = _build(g)
         assert trace.tree == _tree_by_documented_rule(g, trace.anchors)
+
+    @given(connected_graphs(max_order=40))
+    @settings(max_examples=80, deadline=None)
+    def test_anchors_match_matrix_rule(self, g):
+        assert _build(g).anchors == _anchors_by_matrix_rule(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            px.path_graph(40),
+            px.cycle_graph(31),
+            _grid(5, 9),
+            px.extremal_graph(px.ExtremalParams(20, 3, 8)),
+            px.sample_corpus(1729, 1, 60)[0],
+        ],
+        ids=["P40", "C31", "grid5x9", "extremal", "random60"],
+    )
+    def test_anchors_match_matrix_rule_on_shapes(self, g):
+        assert _build(g).anchors == _anchors_by_matrix_rule(g)
 
 
 class TestDistanceReuse:
@@ -393,6 +490,27 @@ class TestDistanceReuse:
         trace, inv = _build(g), px.invariant_summary(g)
         assert report.proximity_chain == px.certify_proximity_chain(trace, inv)
         assert report.remoteness_chain == px.certify_remoteness_chain(trace, inv)
+
+    @pytest.mark.parametrize(
+        "g",
+        [px.sample_corpus(1729, 1, 60)[0], _grid(3, 30)],
+        ids=["random60", "grid3x30"],
+    )
+    def test_report_with_chains_never_builds_g_matrix(self, monkeypatch, g):
+        from proxrem import construction
+
+        oracles = []
+
+        def recording(h):
+            oracles.append(px.all_pairs_distances(h))
+            return oracles[-1]
+
+        monkeypatch.setattr(construction, "all_pairs_distances", recording)
+        assert g.n >= 25
+        assert px.bound_report(g, include_chains=True).all_hold()
+        assert len(oracles) == 2  # G, then F
+        assert "matrix" not in vars(oracles[0])  # the cached matrix of G
+        assert "matrix" in vars(oracles[1])
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from proxrem.graphs import (
     _distances_bitset,
     _distances_python,
     _distances_scipy,
+    _transmissions_bitset,
+    _transmissions_scipy,
     tree_transmissions,
 )
 
@@ -230,9 +233,11 @@ class TestBitsetKernel:
 
 class TestDispatch:
     def test_long_path_goes_to_scipy(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_distances_bitset", _raise)
-        monkeypatch.setattr(graphs, "_distances_python", _raise)
+        for name in ("_distances_bitset", "_transmissions_bitset", "_distances_python",
+                     "_bfs_rows"):
+            monkeypatch.setattr(graphs, name, _raise)
         d = px.all_pairs_distances(px.path_graph(300))
+        assert d.transmissions == tuple(sum(abs(i - j) for j in range(300)) for i in range(300))
         assert d.matrix.tolist() == [[abs(i - j) for j in range(300)] for i in range(300)]
 
     def test_small_diameter_goes_to_bitset(self, monkeypatch):
@@ -240,9 +245,21 @@ class TestDispatch:
                                 + [(i, i // 2) for i in range(1, 300)])
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
         expected = _distances_python(g.adj)
-        monkeypatch.setattr(graphs, "_distances_scipy", _raise)
-        monkeypatch.setattr(graphs, "_distances_python", _raise)
-        assert (px.all_pairs_distances(g).matrix == expected).all()
+        for name in ("_distances_scipy", "_transmissions_scipy", "_distances_python", "_bfs_rows"):
+            monkeypatch.setattr(graphs, name, _raise)
+        d = px.all_pairs_distances(g)
+        assert d.transmissions == tuple(expected.sum(axis=1).tolist())
+        assert (d.matrix == expected).all()
+
+    def test_small_order_stays_on_python_rows(self, monkeypatch):
+        g = px.cycle_graph(graphs._NUMPY_MIN_ORDER - 1)
+        expected = floyd_warshall(g)
+        for name in ("_distances_bitset", "_transmissions_bitset", "_distances_scipy",
+                     "_transmissions_scipy"):
+            monkeypatch.setattr(graphs, name, _raise)
+        d = px.all_pairs_distances(g)
+        assert d.transmissions == tuple(map(sum, expected))
+        assert d.matrix.tolist() == expected
 
     def test_disconnected_keeps_inf_cells(self, monkeypatch):
         g = px.graph_from_edges(40, [(i, i + 1) for i in range(19)] + [(i, i + 1) for i in range(20, 39)])
@@ -251,6 +268,90 @@ class TestDispatch:
         d = px.all_pairs_distances(g)
         assert d.matrix.tolist() == floyd_warshall(g)
         assert d.d(0, 39) == INF and d.d(20, 39) == 19
+
+
+class TestTransmissions:
+    """Transmissions with no n×n array, against Floyd–Warshall row sums."""
+
+    @given(st.one_of(arbitrary_graphs(max_order=40), connected_graphs(max_order=60)))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_matches_floyd_warshall(self, g):
+        d = px.all_pairs_distances(g)
+        fw = floyd_warshall(g)
+        connected = all(x < INF for x in fw[0])
+        assert d.connected == connected
+        assert d.transmissions == (tuple(map(sum, fw)) if connected else None)
+
+    @given(connected_graphs(min_order=2, max_order=60))
+    @settings(max_examples=60, deadline=None)
+    def test_both_numpy_backends_match_floyd_warshall(self, g):
+        # whichever side of the selection rule the graph falls on
+        expected = tuple(map(sum, floyd_warshall(g)))
+        assert _transmissions_bitset(g.adj) == expected
+        assert _transmissions_scipy(g.adj) == expected
+
+    @pytest.mark.parametrize("batch", [64, 128], ids=["k1", "k2"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_batch_boundaries_match_floyd_warshall(self, monkeypatch, batch, extra):
+        # orders 64·k − 1, 64·k and 64·k + 1: the last batch holds 64·k − 1,
+        # 64·k or 1 sources
+        n = batch + extra
+        rng = random.Random(n)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+        g = px.graph_from_edges(n, [(u, v) for u, v in edges if u != v])
+        expected = tuple(map(sum, floyd_warshall(g)))
+        monkeypatch.setattr(graphs, "_BATCH_SOURCES", batch)
+        assert _transmissions_bitset(g.adj) == expected
+        assert _transmissions_scipy(g.adj) == expected
+
+    @given(
+        st.one_of(
+            connected_graphs(max_order=60),
+            st.sampled_from([63, 64, 65, 127, 128, 129]).flatmap(lambda n: connected_graphs(n, n)),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_networkx(self, nx, g):
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        lengths = nx.single_source_shortest_path_length
+        expected = tuple(sum(lengths(h, v).values()) for v in range(g.n))
+        assert px.all_pairs_distances(g).transmissions == expected
+        assert _transmissions_bitset(g.adj) == _transmissions_scipy(g.adj) == expected
+
+    @pytest.mark.parametrize("n", [4, 40], ids=["python_rows", "scipy"])
+    def test_disconnected_has_no_transmissions(self, n):
+        half = n // 2
+        g = px.graph_from_edges(n, [(i, i + 1) for i in range(half - 1)]
+                                + [(i, i + 1) for i in range(half, n - 1)])
+        d = px.all_pairs_distances(g)
+        assert not d.connected and d.transmissions is None
+        assert d.matrix.tolist() == floyd_warshall(g)
+
+    @pytest.mark.parametrize(
+        "g, backend",
+        [(px.path_graph(300), "scipy"), (px.complete_graph(40), "bitset")],
+        ids=["scipy", "bitset"],
+    )
+    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, backend):
+        computed = []
+        for view in ("_transmissions_", "_distances_"):
+            real = getattr(graphs, view + backend)
+
+            def counting(adj, real=real, view=view):
+                computed.append(view)
+                return real(adj)
+
+            monkeypatch.setattr(graphs, view + backend, counting)
+        d = px.all_pairs_distances(g)
+        assert computed == []
+        first = d.matrix
+        assert d.matrix is first and d.d(0, 1) == 1
+        assert not first.flags.writeable
+        assert computed == ["_distances_"]
+        assert d.transmissions is d.transmissions
+        assert computed == ["_distances_", "_transmissions_"]
 
 
 class TestBall:
@@ -264,6 +365,21 @@ class TestBall:
         assert sorted(reached) == [v for v in range(g.n) if dist[v] < INF]
         assert reached[0] == s
         assert all(dist[u] <= dist[v] for u, v in zip(reached, reached[1:]))
+
+    @given(connected_graphs(max_order=25), st.integers(1, 4), st.data())
+    @settings(max_examples=150)
+    def test_relaxation_matches_set_distance(self, g, radius, data):
+        # relaxing from each new source keeps the set-distance exact within
+        # radius, with every value above radius capped at radius + 1
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6))
+        cap = radius + 1
+        dist = [cap] * g.n
+        for i, s in enumerate(sources):
+            before = list(dist)
+            _, reached = graphs._ball(g.adj, s, radius, dist)
+            expected = [min(set_distance(g, v, sources[: i + 1]), cap) for v in range(g.n)]
+            assert dist == expected
+            assert sorted(reached) == [v for v in range(g.n) if dist[v] < before[v] or v == s]
 
 
 class TestTreeDistances:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 
 import proxrem as px
+from proxrem import oracle
 from proxrem.oracle import (
     _compositions,
     instance_csv_rows,
+    parallel_map,
     sweep_instance_count,
 )
 
@@ -197,3 +199,43 @@ class TestBoundCheck:
                 inv = px.invariant_summary(t)
                 is_path = max(len(a) for a in t.adj) <= 2
                 assert (inv.remoteness == Fraction(m, 2)) == is_path
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize(
+        "jobs, cpus, items, pool",
+        [
+            (5000, 2, 10, 2),
+            (3, 8, 10, 3),
+            (5000, 8, 4, 4),
+            (1, 2, 10, None),
+            (5000, None, 10, None),
+        ],
+    )
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch, jobs, cpus, items, pool):
+        # a fake context records the pool size and maps in this process, so
+        # no worker is ever forked
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, xs):
+                return [fn(x) for x in xs]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        assert parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
+        assert sizes == ([] if pool is None else [pool])
