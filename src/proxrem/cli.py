@@ -10,8 +10,11 @@ above ``graphs.MAX_ORDER`` vertices included), 3 an internal error: any
 other exception, reported as one ``internal error:`` line on stderr so
 that a crash never reads as a counterexample.  ``compute`` and ``verify``
 read G's transmissions, which come with no n×n array; ``verify --chain``
-also builds the all-pairs matrix of the auxiliary graph F, and reads the
-spanning tree through BFS rows and balls, with no matrix.
+reads the spanning tree T and the auxiliary graph F through BFS rows,
+balls and F's weighted transmissions, with no matrix either.  A
+distance kernel imports its array libraries only when ``graphs`` selects
+it, so a small graph, or a large one of small diameter, is checked
+without them.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays
@@ -29,8 +32,7 @@ from pathlib import Path
 
 from .construction import ConstructionError, bound_report
 from .extremal import ExtremalParams, extremal_graph, sharpness_report, sharpness_sweep
-# all_pairs_distances is not called here; perfbench's tracer test checks this binding
-from .graphs import ParseError, all_pairs_distances, is_connected, parse_graph, render_graph  # noqa: F401
+from .graphs import DistanceOracle, Graph, ParseError, all_pairs_distances, parse_graph, render_graph
 from .invariants import invariant_summary
 from .oracle import DEFAULT_SEED, exhaustive_bound_check, instance_csv_rows, lemma_sweep
 from . import report as rpt
@@ -47,19 +49,21 @@ def _emit(doc: dict, timings: dict | None) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _load_graph(path: str):
-    """Parse ``path`` and reject a disconnected graph in O(n+m), before any
-    all-pairs distance matrix is allocated."""
+def _load_graph(path: str) -> tuple[Graph, DistanceOracle]:
+    """Parse ``path`` into G and its distance oracle, and reject a
+    disconnected graph from vertex 0's BFS row, in O(n+m), before any
+    all-pairs work."""
     g = parse_graph(Path(path).read_text())
-    if not is_connected(g):
+    d = all_pairs_distances(g)
+    if not d.connected:
         raise ParseError("input graph is disconnected")
-    return g
+    return g, d
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    g = _load_graph(args.input)
-    inv = invariant_summary(g)
+    g, d = _load_graph(args.input)
+    inv = invariant_summary(g, d)
     timings = {"seconds": time.perf_counter() - t0} if args.timings else None
     if args.format == "text":
         print(f"order {g.n}, edges {g.edge_count()}")
@@ -73,8 +77,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    g = _load_graph(args.input)
-    report = bound_report(g, include_chains=args.chain)
+    g, d = _load_graph(args.input)
+    report = bound_report(g, include_chains=args.chain, oracle=d)
     timings = {"seconds": time.perf_counter() - t0} if args.timings else None
     _emit(rpt.verify_document(g, report, args.input), timings)
     return EXIT_OK if report.all_hold() else EXIT_CLAIM_FAILED

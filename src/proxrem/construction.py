@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .graphs import (
     INF,
     DistanceOracle,
@@ -30,6 +28,7 @@ from .graphs import (
     graph_from_edges,
     is_connected,
     tree_transmissions,
+    weighted_transmissions,
 )
 from .invariants import (
     InvariantSummary,
@@ -60,13 +59,13 @@ class ConstructionTrace:
     standing for ``anchors[i]``.  ``adjusted_weights`` is the contracted
     weight map with ``q`` added at ``w0``.
 
-    ``d_aux`` and ``tree_summary`` are the distances of F, from
-    :func:`~proxrem.graphs.all_pairs_distances`, and the invariants of T,
-    from the rerooted transmissions of
-    :func:`~proxrem.graphs.tree_transmissions`.  They are computed once
-    here, read by the chain certifiers, and take no part in equality or
-    ``repr``.  T has no distance matrix: the pipeline and the certifiers
-    read it through BFS rows and balls.
+    ``tree_summary`` holds the invariants of T, from the rerooted
+    transmissions of :func:`~proxrem.graphs.tree_transmissions`.  It is
+    computed once here, read by the chain certifiers, and takes no part in
+    equality or ``repr``.  Neither T nor F has a distance matrix: the
+    pipeline and the certifiers read both through BFS rows and balls, and
+    w0 comes from F's weighted transmissions,
+    :func:`~proxrem.graphs.weighted_transmissions`.
     """
 
     order: int
@@ -81,7 +80,6 @@ class ConstructionTrace:
     q: int
     adjusted_weights: dict[int, Fraction]
     w0: int
-    d_aux: DistanceOracle = field(compare=False, repr=False)
     tree_summary: InvariantSummary = field(compare=False, repr=False)
 
 
@@ -176,9 +174,13 @@ def auxiliary_graph(tree: Graph, anchors: Sequence[int]) -> Graph:
     """
     pos = {b: i for i, b in enumerate(anchors)}
     edges: list[tuple[int, int]] = []
+    # one distance list for every ball, reset on the vertices each reached
+    dist = [INF] * tree.n
     for i, b in enumerate(anchors):
-        dist, reached = _ball(tree.adj, b, 3)
+        reached = _ball(tree.adj, b, 3, dist)[1]
         near = [(pos[v], dist[v]) for v in reached if v in pos]
+        for v in reached:
+            dist[v] = INF
         edges.extend((i, j) for j, _ in near if j > i)
         _require(
             i == 0 or any(j < i and dv == 3 for j, dv in near),
@@ -233,19 +235,19 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
     aux = auxiliary_graph(tree, anchors)
     q = q_adjustment(g.n, Delta, delta)
 
-    d_aux = all_pairs_distances(aux)
-    # contracted weights are integers and sigma <= n^2, so int64 is exact
-    sigma = d_aux.matrix @ np.array([counts[b] for b in anchors], dtype=np.int64)
+    sigma = weighted_transmissions(aux, [counts[b] for b in anchors])
     # ties break to the lowest vertex id, not to anchor insertion order
-    w0 = min(anchors[i] for i in np.flatnonzero(sigma == sigma.min()))
+    smin = min(sigma)
+    w0 = min(b for b, s in zip(anchors, sigma) if s == smin)
     w0_pos = anchors.index(w0)
 
     adjusted = {b: Fraction(counts[b]) for b in anchors}
     adjusted[w0] += q
     # adding q at w0 cannot dethrone it, but the claim is checked, not trusted
-    sigma_adj = sigma + q * d_aux.matrix[:, w0_pos]
+    to_w0 = _bfs(aux.adj, w0_pos)
+    sigma_adj = [s + q * d for s, d in zip(sigma, to_w0)]
     _require(
-        bool((sigma_adj[w0_pos] <= sigma_adj).all()),
+        sigma_adj[w0_pos] == min(sigma_adj),
         "chosen median lost medianhood after the q adjustment",
     )
 
@@ -262,7 +264,6 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
         q=q,
         adjusted_weights=adjusted,
         w0=w0,
-        d_aux=d_aux,
         tree_summary=summarize_transmissions(tree_trans),
     )
 
@@ -311,17 +312,16 @@ def _link(name: str, lhs: Fraction | int, rhs: Fraction | int) -> ChainLink:
 def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, Fraction]:
     """Transmission and contracted weighted distances at an anchor ``at``.
 
-    T's distances from ``at`` are one BFS row of the tree.  Returns
+    T's and F's distances from ``at`` are one BFS row of each.  Returns
     ``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)``.
     """
-    d_aux = trace.d_aux
-    pos = {b: i for i, b in enumerate(trace.anchors)}
-    p = pos[at]
+    anchors = trace.anchors
     sigma_t = trace.tree_summary.transmissions[at]
     to_at = _bfs(trace.tree.adj, at)
-    sigma_c_t = sum(trace.weights[b] * to_at[b] for b in trace.anchors)
-    sigma_c_f = sum(trace.weights[b] * d_aux.d(p, pos[b]) for b in trace.anchors)
-    sigma_adj_f = Fraction(sigma_c_f) + trace.q * d_aux.d(p, pos[trace.w0])
+    sigma_c_t = sum(trace.weights[b] * to_at[b] for b in anchors)
+    in_f = _bfs(trace.aux.adj, anchors.index(at))
+    sigma_c_f = sum(trace.weights[b] * d for b, d in zip(anchors, in_f))
+    sigma_adj_f = Fraction(sigma_c_f) + trace.q * in_f[anchors.index(trace.w0)]
     return sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f
 
 
@@ -330,8 +330,9 @@ def certify_proximity_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the proximity of G through its trace.
 
-    F's distances and T's invariants come from the trace, which computed
-    them once; ``summary`` is G's own, from the caller.
+    T's invariants come from the trace, which computed them once, and
+    T's and F's distances from one BFS row of each; ``summary`` is G's
+    own, from the caller.
 
     Each merged constant is re-derived as its own link, so an arithmetic
     slip anywhere in the derivation surfaces as a failed certificate with
@@ -375,8 +376,8 @@ def certify_remoteness_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the remoteness of G through its trace.
 
-    As for :func:`certify_proximity_chain`, F's distances and T's
-    invariants come from the trace; ``summary`` is G's.
+    As for :func:`certify_proximity_chain`, T's invariants come from the
+    trace and T's and F's distances from BFS rows; ``summary`` is G's.
     """
     n, delta, Delta = trace.order, trace.delta, trace.Delta
     inv_t = trace.tree_summary
@@ -431,9 +432,12 @@ class BoundReport:
         return ok
 
 
-def bound_report(g: Graph, include_chains: bool = False) -> BoundReport:
-    """Evaluate all six bounds (and optionally both chains) on ``g``."""
-    d = all_pairs_distances(g)
+def bound_report(
+    g: Graph, include_chains: bool = False, oracle: DistanceOracle | None = None
+) -> BoundReport:
+    """Evaluate all six bounds (and optionally both chains) on ``g``;
+    ``oracle`` is G's, when the caller already has it."""
+    d = oracle if oracle is not None else all_pairs_distances(g)
     inv = invariant_summary(g, d)
     delta, Delta = degree_stats(g)
     cb = classical_bounds(g.n, delta)

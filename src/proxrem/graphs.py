@@ -10,61 +10,93 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
 #: single addition cannot collide with a real hop count, small enough to
 #: stay exact in int64 arithmetic.
 INF: int = 2**31 - 1
 
-#: Below this order, Python BFS rows beat both numpy backends.  Mean µs of
-#: ``all_pairs_distances`` over 8 random graphs, 2-core Xeon, Python 3.11,
-#: numpy 2.4 (Python rows vs numpy backend): n=20 tree 90 vs 107, sparse
-#: 118 vs 80, G(n, 0.3) 161 vs 70; n=24 tree 189 vs 187, sparse 195 vs 110,
-#: G(n, 0.3) 251 vs 78.  Trees cross near 25, denser graphs near 15.
+#: The selection rule of :func:`_backend`, a pure function of the order n
+#: and vertex 0's BFS row.  Below ``_NUMPY_MIN_ORDER`` every graph takes the
+#: big-int kernel for its transmissions and Python BFS rows for its matrix,
+#: and numpy is never imported.  From there on, ``2·ecc(0)`` decides:
+#: above ``_BITSET_MAX_LEVELS`` scipy, otherwise the numpy kernel below
+#: ``_BIGINT_MIN_ORDER`` and the big-int kernel from it on.
+#:
+#: Measured on 2 cores, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, best of
+#: 3, transmissions only.  Below 25 the big-int kernel beats Python rows:
+#: the 18,248 labelled trees of order ≤ 7 take 0.37 s against 0.48 s, the
+#: 180 graphs of order < 25 in the seed-1729 random corpus 8 ms against
+#: 29 ms; per graph at order 16/20/24 (mean degree 3) 47/67/86 µs against
+#: 133/205/280 µs, and the numpy kernel 123/138/149 µs.  Above 25 the
+#: numpy kernel catches up near order 30 (G(n, 0.3)) to 40 (mean degree 3),
+#: and the corpus's 320 graphs of order 25–60 that reach a kernel take
+#: 57 ms on it against 76 ms on big ints.
 _NUMPY_MIN_ORDER = 25
 
-#: The bit-parallel kernel runs when ``2·ecc(0)``, which bounds both the
-#: diameter and its level count, is at most this; the bound also keeps the
-#: uint8 counters of its ``.matrix`` exact (the transmissions count in
-#: int64).  A level of the matrix costs O((2m + 8n)·⌈n/64⌉) word operations
-#: (about 5 ms at n = 2000), while scipy's cost depends on the graph's
-#: shape more than on its diameter (160–1060 ms at n = 2000).  Measured on
-#: the matrix, same machine: crossover diameters about 15 on the dense
-#: extremal family at n ≤ 120, 27 on a 4×25 grid, 80–130 on grids of order
-#: 1000–2000.  With the cap at 32: the eight ``verify-large`` graphs (seeds
-#: 1729 and 7) take 39–101 ms against 731–1059 ms; 320 random graphs of
-#: order 25–60 take 54 ms against 233 ms; of the 1,641 ``extremal --sweep
-#: 16 120`` graphs, the 513 sent to the kernel take 0.69 s against 1.07 s,
-#: and the 1,128 left on scipy would take 2.80 s against 1.63 s.  Paths,
-#: cycles and ladders of order 2000 stay on scipy, which is 19–36× faster
-#: there, 48× on the extremal graph (2000, 3, 120).
+#: From this order on, a graph with ``2·ecc(0) ≤ _BITSET_MAX_LEVELS`` takes
+#: the big-int kernel.  Numpy kernel against big ints, mean ms over random
+#: graphs: order 120, mean degree 3 0.53/0.71 and G(n, 0.3) 0.55/1.02;
+#: order 300, 1.24/1.31 and 3.02/3.95; order 500, 3.74/4.37, G(n, 0.1)
+#: 4.21/7.14 and G(n, 0.3) 9.55/11.83; order 1000, 7.3/6.9 and G(n, 0.1)
+#: 28.5/18.5; order 2000 (the 12 ``verify-large`` graphs of seeds 1729, 7
+#: and 4242) 16–35 ms against 10–27 ms; a sparse graph of order 10⁴ 913
+#: against 786 ms.  From order 500 the big ints cost at most 1.7× in
+#: process, a few ms, while a process that needs numpy pays its import:
+#: 234 ms against 70 ms for a bare interpreter.  Below 500 the numpy
+#: kernel's lead counts in a long-lived process: the 480 ``extremal
+#: --sweep 16 120`` graphs that reach a kernel take 0.35 s on it against
+#: 0.78 s on big ints.
+_BIGINT_MIN_ORDER = 500
+
+#: Above this ``2·ecc(0)``, which bounds both the diameter and the level
+#: count of a multi-source BFS, a graph of order at least
+#: ``_NUMPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
+#: The cap also keeps the uint8 counters of the numpy kernel's ``.matrix``
+#: exact.  Numpy kernel against scipy, as a matrix: crossover diameters
+#: about 15 on the dense extremal family at n ≤ 120, 27 on a 4×25 grid;
+#: the 1,128 ``extremal --sweep 16 120`` graphs left on scipy would take
+#: 2.80 s on the kernel against 1.63 s.  Big-int transmissions against
+#: scipy on grids of order 500, by 2·ecc(0): 86, 16.6 against 32.5 ms;
+#: 136, 14.8 against 11.2 ms; 254, 25.1 against 9.3 ms; on a 4×500 grid
+#: (1004) 681 against 182 ms.
 _BITSET_MAX_LEVELS = 32
 
-#: Sources per batch of the matrix-free transmissions, 64·k with k = 1, on
-#: both numpy backends: a batch holds O((n + m)·k) words, or 64 scipy rows.
-#: Best of 3 on the seed-1729 ``verify-large`` graphs (deg16/deg3/deg6/hub,
-#: same machine), bit-parallel ms and ``tracemalloc`` peak: k = 1
-#: 21/21/17/16 ms, 0.2–0.6 MB; k = 2 44/35/32/27 ms; k = 8 21/18/15/13 ms,
-#: 1.1–3.0 MB; k = 16 36/16/14/11 ms, 2.2–5.7 MB.  scipy rows at n = 2000
-#: (10-wide grid / path): 190/86 ms in batches of 64, 170/75 ms of 256;
-#: at n = 1000 (grid) the batch peaks at 0.63·n² bytes, 2.2·n² at 256.  On
-#: the ``extremal --sweep 16 120`` graphs of order ≥ 25, interleaved: the
-#: 480 on the kernel take 0.33 s (k = 1) against 0.51 s as a summed matrix,
-#: the 1,128 on scipy 1.34 s in batches of 64 against 1.25 s.
+#: Above this ``2·ecc(0)``, :func:`weighted_transmissions` takes scipy
+#: rows in place of the big-int kernel; it has no numpy kernel, and an
+#: order below 25 never reaches the cap.  The weighted kernel on the
+#: auxiliary graphs F of real constructions, against scipy, ms: F of order
+#: 157–2148 from sparse graphs of order 10³–10⁴, 2·ecc(0) 22–40, 0.16–0.89×
+#: as long; from grids, F of order 75–279 and 2·ecc(0) 34–66, 1.3–11.6
+#: against 0.5–7.8; order 425–839 and 88–110, 19.6–68.0 against 9.8–72.4;
+#: order 200 and 134, 15.4 against 1.6.  Below the cap F costs at most a
+#: few ms more, while a process that first reaches scipy here pays its
+#: import: 691 ms against 234 ms for numpy alone.
+_WEIGHTED_MAX_LEVELS = 64
+
+#: Sources per batch, 64·k with k = 1, of the numpy kernel's transmissions
+#: and of scipy's rows: a batch holds O((n + m)·k) words, or 64·k scipy
+#: rows.  The 480 ``extremal --sweep 16 120`` graphs on the numpy kernel
+#: take 0.35 s at k = 1 against 0.50 s at k = 2 and 0.47 s at k = 4; sparse
+#: graphs of order 250–499 take 1.3–3.7 ms (k = 1) against 0.5–1.9 ms
+#: (k = 4), with a ``tracemalloc`` peak of 0.22–0.47·n² bytes against
+#: 0.62–1.02·n².  Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n²
+#: bytes at k = 1, 221 ms and 2.11·n² at k = 4.
 _BATCH_SOURCES = 64 * 1
 
 #: Largest order :func:`parse_graph` accepts.  ``verify --chain`` builds no
-#: n×n array of G or T; by ``tracemalloc`` at n = 1000 and 2000 it peaks at
-#: 0.53·n² and 0.47·n² bytes on the bitset path (mean degree 3), 0.72·n²
-#: and 0.66·n² on the scipy path (a 10-wide grid).  What is left is F's
-#: matrix, O(anchors²): on a path, with an anchor every third vertex, it
-#: reaches 1.9·n² (n = 2000 and 4000), about 190 MB at n = 10⁴.  The cap
-#: stays because ``auxiliary_graph`` still takes O(anchors·n) time.  A
-#: larger document is refused before :func:`graph_from_edges` allocates
-#: its n adjacency sets.
+#: n×n array of G, T or F; by ``tracemalloc`` at n = 10⁴ it peaks at
+#: 0.11·n² bytes on a path or a cycle (scipy, in batches) and 0.42·n² on
+#: a sparse graph (the big-int kernel's ints), against 1.81·n² and 0.46·n²
+#: while F had a matrix.  The cap stays because G's exact transmissions take
+#: Θ(n·m) time: at n = 10⁴, ``bound_report`` with chains takes 3.5 s on a
+#: path or a cycle and 1.5 s on a sparse graph (m = 2n).  A larger
+#: document is refused before :func:`graph_from_edges` allocates its n
+#: adjacency sets.
 MAX_ORDER = 10_000
 
 
@@ -111,8 +143,9 @@ class DistanceOracle:
 
     ``transmissions`` are every vertex's distance sum, exact and computed
     with no n×n array, or ``None`` when the graph is disconnected.
-    ``matrix`` holds all pairs, int64, with ``INF`` marking unreachable
-    pairs.
+    ``matrix`` holds all pairs, a numpy int64 array, with ``INF`` marking
+    unreachable pairs; only it and the numpy and scipy backends import
+    numpy.
     """
 
     connected: bool
@@ -240,7 +273,8 @@ def _ball(
     d(s, x) = d(s, w) + d(w, x) ≥ f(w) + d(w, x) ≥ f(x).
 
     The one hand-rolled BFS in the package; every other distance comes
-    from here, from the bit-parallel kernel or from the scipy backend.
+    from here, from a bit-parallel kernel (big ints or numpy) or from the
+    scipy backend.
     """
     if dist is None:
         dist = [INF] * len(adj)
@@ -272,11 +306,89 @@ def _bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    import numpy as np
+
     return np.array(_bfs_rows(adj), dtype=np.int64)
+
+
+def _bit_slices(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """``(j, M_j)`` for every bit j set in some weight, M_j holding bit v
+    when bit j of ``weights[v]`` is set; weights are nonnegative ints."""
+    slices = []
+    for j in range(max(weights, default=0).bit_length()):
+        mask = int("".join("1" if w >> j & 1 else "0" for w in reversed(weights)), 2)
+        if mask:
+            slices.append((j, mask))
+    return slices
+
+
+def _transmissions_bigint(
+    adj: Sequence[Sequence[int]], weights: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Transmissions, or weighted transmissions σ_w(v) = Σ_u w_u·d(u, v),
+    from a multi-source BFS from every vertex at once with Python ints as
+    bitsets (the kernel of :func:`_msbfs_levels`, without numpy).
+
+    Bit s of ``unseen[v]`` is set while source s has not reached v.  A
+    level ORs the frontier ints of v's neighbours and keeps the unseen
+    bits: x, the sources at distance ``level`` from v.  Distances are
+    symmetric, so v gains ``level · popcount(x)``.  With weights, x is
+    ORed into ``planes[k][v]`` for each bit k of the level, so that plane
+    k holds the sources whose distance to v has bit k set; at the end v
+    gains ``popcount(planes[k][v] & M_j) << (j + k)`` for every plane k
+    and every bit slice M_j of the weights.  A vertex whose x is empty has
+    no source farther away and leaves the loop.  Any order, 1 included; on
+    a disconnected graph each sum runs over the vertex's component.  The
+    ints take (3 + the planes' count)·n² bits at most.
+    """
+    n = len(adj)
+    slices = None if weights is None else _bit_slices(weights)
+    planes: list[list[int]] = []
+    frontier = [1 << v for v in range(n)]
+    full = (1 << n) - 1
+    unseen = [full ^ b for b in frontier]
+    sums = [0] * n
+    active: Sequence[int] = range(n)
+    level = 0
+    while active:
+        level += 1
+        if slices is not None:
+            if level.bit_length() > len(planes):
+                planes.append([0] * n)
+            level_planes = [plane for k, plane in enumerate(planes) if level >> k & 1]
+        nxt = [0] * n
+        still = []
+        for v in active:
+            x = 0
+            for w in adj[v]:
+                x |= frontier[w]
+            x &= unseen[v]
+            if x:
+                nxt[v] = x
+                unseen[v] ^= x
+                still.append(v)
+                if slices is None:
+                    sums[v] += level * x.bit_count()
+                else:
+                    for plane in level_planes:
+                        plane[v] |= x
+        frontier = nxt
+        active = still
+    if slices is not None:
+        for k, plane in enumerate(planes):
+            for v, d in enumerate(plane):
+                if d:
+                    acc = 0
+                    for j, m in slices:
+                        acc += (d & m).bit_count() << j
+                    sums[v] += acc << k
+    return tuple(sums)
 
 
 def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the adjacency lists, int64."""
+    import numpy as np
+
     indptr = np.zeros(len(adj) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in adj], out=indptr[1:])
     indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=int(indptr[-1]))
@@ -295,6 +407,8 @@ def _msbfs_levels(
     every vertex needs a neighbour: callers pass connected graphs of order
     at least 2 only.
     """
+    import numpy as np
+
     n = len(indptr) - 1
     starts = indptr[:-1]
     src = np.arange(lo, hi)
@@ -324,6 +438,8 @@ def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
     255; the dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS``
     here.
     """
+    import numpy as np
+
     n = len(adj)
     acc = np.zeros((n, 64 * -(-n // 64)), dtype=np.uint8)
     for _, _, unseen in _msbfs_levels(*_csr(adj), 0, n):
@@ -340,6 +456,8 @@ def _transmissions_bitset(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     the levels and the batches, is v's transmission.  Counts are int64; no
     bit is unpacked.
     """
+    import numpy as np
+
     n = len(adj)
     batch = _BATCH_SOURCES
     indptr, indices = _csr(adj)
@@ -353,6 +471,7 @@ def _transmissions_bitset(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def _dijkstra(adj: Sequence[Sequence[int]]) -> Callable[..., np.ndarray]:
     """scipy's unweighted Dijkstra on ``adj``, to be called with or without
     ``indices``; float64 rows, ``inf`` where unreachable."""
+    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
@@ -365,52 +484,84 @@ def _dijkstra(adj: Sequence[Sequence[int]]) -> Callable[..., np.ndarray]:
 
 
 def _distances_scipy(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    import numpy as np
+
     dist = _dijkstra(adj)()
     dist[np.isinf(dist)] = INF
     return dist.astype(np.int64)
 
 
-def _transmissions_scipy(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Transmissions of a connected graph from scipy, ``_BATCH_SOURCES``
-    source rows at a time; each row holds small whole numbers, summed in
-    int64."""
+def _transmissions_scipy(
+    adj: Sequence[Sequence[int]], weights: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Transmissions, or weighted transmissions, of a connected graph from
+    scipy, ``_BATCH_SOURCES`` source rows at a time; each row holds small
+    whole numbers, summed in int64."""
+    import numpy as np
+
     n = len(adj)
     batch = _BATCH_SOURCES
     run = _dijkstra(adj)
+    w = None if weights is None else np.array(weights, dtype=np.int64)
     trans = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, batch):
         hi = min(lo + batch, n)
-        trans[lo:hi] = run(indices=np.arange(lo, hi)).sum(axis=1, dtype=np.int64)
+        rows = run(indices=np.arange(lo, hi))
+        trans[lo:hi] = rows.sum(axis=1, dtype=np.int64) if w is None else rows.astype(np.int64) @ w
     return tuple(trans.tolist())
 
 
-def all_pairs_distances(g: Graph) -> DistanceOracle:
-    """G's hop distances: its connectivity now, its transmissions and its
-    all-pairs matrix on first read.
+def _backend(n: int, row0: Sequence[int]) -> str:
+    """``"bigint"``, ``"numpy"`` or ``"scipy"``: the kernel for the
+    transmissions of a graph of order ``n`` whose vertex 0 has BFS row
+    ``row0``.  Twice the eccentricity of vertex 0 bounds the diameter, and
+    is ``INF``-sized when the graph is disconnected."""
+    if n < _NUMPY_MIN_ORDER:
+        return "bigint"
+    if 2 * max(row0) > _BITSET_MAX_LEVELS:
+        return "scipy"
+    return "bigint" if n >= _BIGINT_MIN_ORDER else "numpy"
 
-    Picks one of three backends, which give identical transmissions and
-    matrices (unit tests cross-check them): Python BFS rows below order
-    ``_NUMPY_MIN_ORDER``; the bit-parallel kernel when twice the
-    eccentricity of vertex 0, which bounds the diameter, is at most
-    ``_BITSET_MAX_LEVELS``; scipy otherwise, disconnected graphs included.
-    Vertex 0's BFS row also shows whether the graph is connected.
+
+def all_pairs_distances(g: Graph) -> DistanceOracle:
+    """G's hop distances: its connectivity now, from vertex 0's BFS row, and
+    its transmissions and its all-pairs matrix on first read.
+
+    :func:`_backend` picks the transmissions' kernel from the order and that
+    row.  The matrix comes from Python BFS rows below order
+    ``_NUMPY_MIN_ORDER``, from the numpy kernel when twice the eccentricity
+    of vertex 0 is at most ``_BITSET_MAX_LEVELS``, and from scipy otherwise,
+    disconnected graphs included.  Every kernel gives identical
+    transmissions and matrices (unit tests cross-check them).
     """
     adj = g.adj
-    if g.n < _NUMPY_MIN_ORDER:
-        rows = _bfs_rows(adj)
-        return DistanceOracle(
-            INF not in rows[0],
-            lambda: tuple(map(sum, rows)),
-            lambda: np.array(rows, dtype=np.int64),
-        )
     row0 = _bfs(adj, 0)
-    if 2 * max(row0) <= _BITSET_MAX_LEVELS:
-        return DistanceOracle(
-            True, lambda: _transmissions_bitset(adj), lambda: _distances_bitset(adj)
-        )
-    return DistanceOracle(
-        INF not in row0, lambda: _transmissions_scipy(adj), lambda: _distances_scipy(adj)
-    )
+    trans = {
+        "bigint": _transmissions_bigint, "numpy": _transmissions_bitset, "scipy": _transmissions_scipy
+    }[_backend(g.n, row0)]
+    if g.n < _NUMPY_MIN_ORDER:
+        matrix = _distances_python
+    elif 2 * max(row0) <= _BITSET_MAX_LEVELS:
+        matrix = _distances_bitset
+    else:
+        matrix = _distances_scipy
+    return DistanceOracle(INF not in row0, lambda: trans(adj), lambda: matrix(adj))
+
+
+def weighted_transmissions(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
+    """σ_w(v) = Σ_u w_u·d(u, v) for every vertex v of a connected graph,
+    for nonnegative integer weights ``w``, exact and with no n×n array.
+
+    The big-int kernel runs unless twice the eccentricity of vertex 0
+    exceeds ``_WEIGHTED_MAX_LEVELS``; then scipy rows do.  Below order 25
+    that cannot happen.
+    """
+    row0 = _bfs(g.adj, 0)
+    if INF in row0:
+        raise ValueError("weighted transmissions need a connected graph")
+    if 2 * max(row0) > _WEIGHTED_MAX_LEVELS:
+        return _transmissions_scipy(g.adj, weights)
+    return _transmissions_bigint(g.adj, weights)
 
 
 def tree_transmissions(t: Graph, root: int) -> tuple[list[int], list[int]]:

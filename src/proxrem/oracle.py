@@ -16,13 +16,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import Callable, Iterator, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from .construction import bound_report
 from .graphs import Graph, _distances_python, graph_from_edges, is_connected, render_graph
 from .weighted import any_vertex_bound, median_bound
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default seed for every randomized corpus (overridable via --seed).
 DEFAULT_SEED = 1729
@@ -213,6 +214,8 @@ def _order_sigmas(
     ``ti`` under vector ``j``.  The sweep and the instance CSV both read
     these matrices; nothing else enumerates trees x weight vectors.
     """
+    import numpy as np
+
     vectors = [w for total in range(m, max_total + 1) for w in _compositions(total, m)]
     weights = np.array(vectors, dtype=np.int64)  # (V, m)
     seqs = list(itertools.product(range(m), repeat=max(0, m - 2)))
@@ -232,6 +235,8 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     overall weighted distance, plus any bound violations (with the
     argmax instance retained for counterexample dumps).
     """
+    import numpy as np
+
     m, max_total = args
     seqs, weights, med, top = _order_sigmas(m, max_total)
     totals = weights.sum(axis=1)

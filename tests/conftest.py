@@ -67,6 +67,11 @@ def floyd_warshall(g: px.Graph) -> list[list[int]]:
     return dist
 
 
+def weighted_floyd_warshall(g: px.Graph, weights) -> tuple[int, ...]:
+    """σ_w(v) = Σ_u w_u·d(u, v) of a connected graph, from Floyd–Warshall."""
+    return tuple(sum(w * d for w, d in zip(weights, row)) for row in floyd_warshall(g))
+
+
 def set_distance(g: px.Graph, v: int, targets) -> int:
     """Distance from ``v`` to the nearest vertex of a nonempty set."""
     tset = set(targets)

@@ -30,14 +30,16 @@ def p5_file(tmp_path):
 
 @pytest.fixture
 def no_apsp(monkeypatch):
-    """Fail if any all-pairs distance matrix is computed."""
-    from proxrem import cli, construction, invariants
+    """Fail if any all-pairs work is done: a transmission or matrix kernel
+    runs.  Vertex 0's BFS row, the oracle's connectivity, is allowed."""
+    from proxrem import graphs
 
-    def forbidden(g):
+    def forbidden(*_):
         raise AssertionError("all-pairs distances computed")
 
-    for mod in (cli, invariants, construction):
-        monkeypatch.setattr(mod, "all_pairs_distances", forbidden)
+    for name in ("_transmissions_bigint", "_transmissions_bitset", "_transmissions_scipy",
+                 "_distances_python", "_distances_bitset", "_distances_scipy"):
+        monkeypatch.setattr(graphs, name, forbidden)
 
 
 def _run(capsys, *argv):
@@ -141,24 +143,44 @@ class TestVerify:
 
     def test_chain_on_sparse_graph_never_imports_scipy(self, tmp_path):
         # a random recursive tree plus chords: order 500, small diameter,
-        # so G and the auxiliary graph both take the bit-parallel kernel
+        # so G and the auxiliary graph both take the big-int kernel, and
+        # neither scipy nor numpy is loaded
         rng = random.Random(500)
         edges = [(rng.randrange(v), v) for v in range(1, 500)]
         edges += [(rng.randrange(500), rng.randrange(500)) for _ in range(500)]
         f = tmp_path / "sparse500.edges"
         f.write_text(px.render_graph(px.graph_from_edges(500, [(u, v) for u, v in edges if u != v])))
-        probe = (
-            "import sys\n"
-            "from proxrem.cli import main\n"
-            f"code = main(['verify', '--chain', {str(f)!r}])\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)\n"
+        out, loaded = _numpy_and_scipy_after(
+            f"from proxrem.cli import main\nassert main(['verify', '--chain', {str(f)!r}]) == 0"
         )
-        src = str(Path(px.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["verification"]["all_hold"] is True
-        assert proc.stderr == "0 []\n"
+        assert json.loads(out)["verification"]["all_hold"] is True
+        assert loaded == []
+
+    def test_compute_on_k2_never_imports_numpy(self, tmp_path):
+        f = tmp_path / "k2.edges"
+        f.write_text("0 1\n")
+        out, loaded = _numpy_and_scipy_after(
+            f"from proxrem.cli import main\nassert main(['compute', {str(f)!r}]) == 0"
+        )
+        assert json.loads(out)["invariants"]["proximity"] == "1/1"
+        assert loaded == []
+
+    def test_bare_import_never_imports_numpy(self):
+        assert _numpy_and_scipy_after("import proxrem") == ("", [])
+
+
+def _numpy_and_scipy_after(code):
+    """Run ``code`` in a fresh interpreter; return its stdout and the
+    ``numpy*`` and ``scipy*`` modules loaded once it has run."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(*sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))), file=sys.stderr)\n"
+    )
+    src = str(Path(px.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.split()
 
 
 class TestExtremal:
@@ -311,7 +333,7 @@ class TestUsage:
     def test_unexpected_exception_exits_3(self, capsys, p5_file, monkeypatch):
         import proxrem.cli as cli_mod
 
-        def broken(g, include_chains=False):
+        def broken(g, include_chains=False, oracle=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_mod, "bound_report", broken)
@@ -323,7 +345,7 @@ class TestUsage:
     def test_construction_error_still_exits_1(self, capsys, p5_file, monkeypatch):
         import proxrem.cli as cli_mod
 
-        def broken(g, include_chains=False):
+        def broken(g, include_chains=False, oracle=None):
             raise px.ConstructionError("star overlaps")
 
         monkeypatch.setattr(cli_mod, "bound_report", broken)
@@ -337,8 +359,8 @@ class TestUsage:
 
         real = cli_mod.bound_report
 
-        def sabotage(g, include_chains=False):
-            report = real(g, include_chains=include_chains)
+        def sabotage(g, include_chains=False, oracle=None):
+            report = real(g, include_chains=include_chains, oracle=oracle)
             report.holds["remoteness_order"] = False
             return report
 

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 import proxrem as px
 from proxrem import graphs
 from proxrem.construction import trace_to_json
-from proxrem.graphs import tree_transmissions
+from proxrem.graphs import tree_transmissions, weighted_transmissions
 
-from .conftest import connected_graphs, floyd_warshall, labeled_trees, set_distance
+from .conftest import (
+    connected_graphs,
+    floyd_warshall,
+    labeled_trees,
+    set_distance,
+    weighted_floyd_warshall,
+)
 
 
 def _build(g):
@@ -236,6 +242,30 @@ class TestMatrixFreeTree:
             _aux_by_floyd_warshall, t, anchors
         )
 
+    @given(connected_graphs(max_order=14))
+    @settings(max_examples=100, deadline=None)
+    def test_construction_aux_matches_floyd_warshall(self, g):
+        # the balls share one distance list; each must still start fresh
+        trace = _build(g)
+        assert trace.aux == _aux_by_floyd_warshall(trace.tree, trace.anchors)
+
+    def test_aux_on_a_path_of_order_10_000(self):
+        # T is the path itself, so anchors are adjacent in F exactly when
+        # their ids differ by at most 3
+        from proxrem import construction
+
+        p = px.path_graph(10_000)
+        anchors = construction._grow_anchor_tree(p)[0]
+        aux = px.auxiliary_graph(p, anchors)
+        by_id = sorted(range(len(anchors)), key=anchors.__getitem__)
+        expected = {
+            tuple(sorted((i, j)))
+            for k, i in enumerate(by_id)
+            for j in by_id[k + 1 : k + 3]
+            if anchors[j] - anchors[i] <= 3
+        }
+        assert len(anchors) > 3000 and set(aux.edges()) == expected
+
     def test_tie_goes_to_the_lowest_anchor(self):
         # vertex 1 is at distance 1 from both anchors
         assert px.contract_weights(px.path_graph(3), [2, 0]) == ((0, 0, 2), {2: 1, 0: 2})
@@ -445,7 +475,7 @@ class TestDistanceReuse:
     def test_report_with_chains_computes_tree_and_aux_distances_once(self, monkeypatch):
         from proxrem import construction, invariants
 
-        calls, tree_calls = [], []
+        calls, tree_calls, aux_calls = [], [], []
 
         def counting(g):
             calls.append(g.n)
@@ -455,21 +485,31 @@ class TestDistanceReuse:
             tree_calls.append(t.n)
             return tree_transmissions(t, root)
 
+        def counting_aux(f, weights):
+            aux_calls.append(f.n)
+            return weighted_transmissions(f, weights)
+
         monkeypatch.setattr(construction, "all_pairs_distances", counting)
         monkeypatch.setattr(invariants, "all_pairs_distances", counting)
         monkeypatch.setattr(construction, "tree_transmissions", counting_tree)
+        monkeypatch.setattr(construction, "weighted_transmissions", counting_aux)
         g = px.cycle_graph(12)
         report = px.bound_report(g, include_chains=True)
         assert report.all_hold()
-        assert calls == [12, 4]  # G, then F on the four anchors; T has no matrix
+        assert calls == [12]  # G only; neither T nor F has an oracle
         assert tree_calls == [12]
+        assert aux_calls == [4]  # F on the four anchors
 
     @given(connected_graphs(max_order=12))
     @settings(max_examples=40, deadline=None)
     def test_trace_distances_match_floyd_warshall(self, g):
         trace = _build(g)
         fw_tree = floyd_warshall(trace.tree)
-        assert trace.d_aux.matrix.tolist() == floyd_warshall(trace.aux)
+        # w0 is the lowest-id anchor of least weighted transmission in F
+        weights = [trace.weights[b] for b in trace.anchors]
+        sigma = weighted_floyd_warshall(trace.aux, weights)
+        assert weighted_transmissions(trace.aux, weights) == sigma
+        assert trace.w0 == min(b for b, s in zip(trace.anchors, sigma) if s == min(sigma))
         assert trace.tree_summary == px.invariant_summary(trace.tree)
         # parent[v] is v's tree neighbour one step closer to the root
         b0 = trace.anchors[0]
@@ -508,15 +548,14 @@ class TestDistanceReuse:
         monkeypatch.setattr(construction, "all_pairs_distances", recording)
         assert g.n >= 25
         assert px.bound_report(g, include_chains=True).all_hold()
-        assert len(oracles) == 2  # G, then F
+        assert len(oracles) == 1  # G; F has weighted transmissions only
         assert "matrix" not in vars(oracles[0])  # the cached matrix of G
-        assert "matrix" in vars(oracles[1])
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)
         a, b = _build(g), _build(g)
-        assert a.d_aux is not b.d_aux and a == b
-        assert "d_aux" not in repr(a) and "tree_summary" not in repr(a)
+        assert a.tree_summary is not b.tree_summary and a == b
+        assert "tree_summary" not in repr(a)
 
 
 class TestBoundReport:

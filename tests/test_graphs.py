@@ -1,3 +1,4 @@
+import ast
 import random
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from proxrem.graphs import (
     _distances_bitset,
     _distances_python,
     _distances_scipy,
+    _transmissions_bigint,
     _transmissions_bitset,
     _transmissions_scipy,
     tree_transmissions,
+    weighted_transmissions,
 )
 
 from .conftest import (
@@ -26,6 +29,7 @@ from .conftest import (
     floyd_warshall,
     labeled_trees,
     set_distance,
+    weighted_floyd_warshall,
 )
 
 
@@ -118,6 +122,20 @@ class TestBasics:
         src = Path(px.__file__).parent
         with_scipy = sorted(f.name for f in src.glob("*.py") if "scipy" in f.read_text())
         assert with_scipy == ["graphs.py"]
+
+    def test_numpy_never_imported_at_module_level(self):
+        # numpy is imported inside the functions that use it, so that a
+        # process that never reaches them never loads it
+        src = Path(px.__file__).parent
+        at_top = []
+        for f in sorted(src.glob("*.py")):
+            for node in ast.parse(f.read_text()).body:
+                names = (
+                    [a.name for a in node.names] if isinstance(node, ast.Import)
+                    else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                )
+                at_top += [(f.name, m) for m in names if m.split(".")[0] in ("numpy", "scipy")]
+        assert at_top == []
 
     def test_set_distance(self):
         p5 = px.path_graph(5)
@@ -231,11 +249,96 @@ class TestBitsetKernel:
         assert _distances_bitset(p.adj).tolist() == [[abs(i - j) for j in range(129)] for i in range(129)]
 
 
-class TestDispatch:
-    def test_long_path_goes_to_scipy(self, monkeypatch):
-        for name in ("_distances_bitset", "_transmissions_bitset", "_distances_python",
-                     "_bfs_rows"):
+@st.composite
+def weighted_connected(draw, max_order=40):
+    """A connected graph of order 1..``max_order`` and one weight per
+    vertex, up to 13 bits wide."""
+    g = draw(st.one_of(st.just(px.graph_from_edges(1, [])), connected_graphs(max_order=max_order)))
+    weights = draw(st.lists(st.integers(0, 2**12), min_size=g.n, max_size=g.n))
+    return g, weights
+
+
+class TestBigIntKernel:
+    """The big-int multi-source BFS, plain and weighted, against
+    Floyd–Warshall and networkx."""
+
+    @given(st.one_of(arbitrary_graphs(max_order=24), connected_graphs(max_order=60)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_floyd_warshall(self, g):
+        # on a disconnected graph each sum runs over the vertex's component
+        fw = floyd_warshall(g)
+        assert _transmissions_bigint(g.adj) == tuple(sum(d for d in row if d < INF) for row in fw)
+
+    @given(weighted_connected())
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_matches_floyd_warshall(self, gw):
+        g, weights = gw
+        expected = weighted_floyd_warshall(g, weights)
+        assert _transmissions_bigint(g.adj, weights) == expected
+        assert weighted_transmissions(g, weights) == expected
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_ORDERS)
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_word_boundaries_match_floyd_warshall(self, n, data):
+        g = data.draw(connected_graphs(min_order=n, max_order=n))
+        weights = data.draw(st.lists(st.integers(0, 2**12), min_size=n, max_size=n))
+        assert _transmissions_bigint(g.adj) == tuple(map(sum, floyd_warshall(g)))
+        assert _transmissions_bigint(g.adj, weights) == weighted_floyd_warshall(g, weights)
+
+    def test_order_one_and_one_anchor(self):
+        k1 = px.graph_from_edges(1, [])
+        assert _transmissions_bigint(k1.adj) == (0,)
+        assert weighted_transmissions(k1, [5]) == (0,)
+        assert px.all_pairs_distances(k1).transmissions == (0,)
+        # a star has one anchor, so F is K1 and that anchor is w0
+        trace = px.build_construction(px.star_graph(3), px.all_pairs_distances(px.star_graph(3)))
+        assert trace.aux.n == 1 and trace.w0 == trace.anchors[0] == 0
+
+    def test_zero_weights(self):
+        p5 = px.path_graph(5)
+        assert weighted_transmissions(p5, [0] * 5) == (0,) * 5
+        assert weighted_transmissions(p5, [0, 0, 1, 0, 0]) == (2, 1, 0, 1, 2)
+
+    @given(weighted_connected(max_order=60))
+    @settings(max_examples=30, deadline=None)
+    def test_weighted_matches_networkx(self, nx, gw):
+        g, weights = gw
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        expected = tuple(
+            sum(weights[u] * d for u, d in nx.single_source_shortest_path_length(h, v).items())
+            for v in range(g.n)
+        )
+        assert _transmissions_bigint(g.adj, weights) == expected
+        assert weighted_transmissions(g, weights) == expected
+
+
+#: Every kernel a graph's transmissions or matrix can come from.
+KERNELS = ("_transmissions_bigint", "_transmissions_bitset", "_transmissions_scipy",
+           "_distances_python", "_distances_bitset", "_distances_scipy", "_bfs_rows")
+
+
+def _only(monkeypatch, *allowed):
+    """Make every kernel outside ``allowed`` fail when called."""
+    for name in KERNELS:
+        if name not in allowed:
             monkeypatch.setattr(graphs, name, _raise)
+
+
+def _broom(n, ecc):
+    """A path 0..ecc with the other vertices hung on its middle, so
+    ecc(0) = ``ecc`` at any order above it."""
+    mid = ecc // 2
+    return px.graph_from_edges(n, [(i, i + 1) for i in range(ecc)] + [(mid, v) for v in range(ecc + 1, n)])
+
+
+class TestDispatch:
+    """Each side of every boundary of the selection rule: the chosen kernel
+    runs, every other kernel fails if called, and the result is exact."""
+
+    def test_long_path_goes_to_scipy(self, monkeypatch):
+        _only(monkeypatch, "_transmissions_scipy", "_distances_scipy")
         d = px.all_pairs_distances(px.path_graph(300))
         assert d.transmissions == tuple(sum(abs(i - j) for j in range(300)) for i in range(300))
         assert d.matrix.tolist() == [[abs(i - j) for j in range(300)] for i in range(300)]
@@ -244,30 +347,105 @@ class TestDispatch:
         g = px.graph_from_edges(300, [(i, (3 * i + 1) % 300) for i in range(300)]
                                 + [(i, i // 2) for i in range(1, 300)])
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        assert g.n < graphs._BIGINT_MIN_ORDER
         expected = _distances_python(g.adj)
-        for name in ("_distances_scipy", "_transmissions_scipy", "_distances_python", "_bfs_rows"):
-            monkeypatch.setattr(graphs, name, _raise)
+        _only(monkeypatch, "_transmissions_bitset", "_distances_bitset")
         d = px.all_pairs_distances(g)
         assert d.transmissions == tuple(expected.sum(axis=1).tolist())
         assert (d.matrix == expected).all()
 
-    def test_small_order_stays_on_python_rows(self, monkeypatch):
+    def test_small_order_takes_bigint_and_python_rows(self, monkeypatch):
         g = px.cycle_graph(graphs._NUMPY_MIN_ORDER - 1)
         expected = floyd_warshall(g)
-        for name in ("_distances_bitset", "_transmissions_bitset", "_distances_scipy",
-                     "_transmissions_scipy"):
-            monkeypatch.setattr(graphs, name, _raise)
+        _only(monkeypatch, "_transmissions_bigint", "_distances_python", "_bfs_rows")
         d = px.all_pairs_distances(g)
         assert d.transmissions == tuple(map(sum, expected))
         assert d.matrix.tolist() == expected
 
     def test_disconnected_keeps_inf_cells(self, monkeypatch):
         g = px.graph_from_edges(40, [(i, i + 1) for i in range(19)] + [(i, i + 1) for i in range(20, 39)])
-        monkeypatch.setattr(graphs, "_distances_bitset", _raise)
-        monkeypatch.setattr(graphs, "_distances_python", _raise)
+        _only(monkeypatch, "_distances_scipy")
         d = px.all_pairs_distances(g)
+        assert not d.connected and d.transmissions is None
         assert d.matrix.tolist() == floyd_warshall(g)
         assert d.d(0, 39) == INF and d.d(20, 39) == 19
+
+    @pytest.mark.parametrize(
+        "n, kernel",
+        [
+            (graphs._NUMPY_MIN_ORDER - 1, "_transmissions_bigint"),
+            (graphs._NUMPY_MIN_ORDER, "_transmissions_bitset"),
+            (graphs._BIGINT_MIN_ORDER - 1, "_transmissions_bitset"),
+            (graphs._BIGINT_MIN_ORDER, "_transmissions_bigint"),
+            (graphs._BIGINT_MIN_ORDER + 1, "_transmissions_bigint"),
+        ],
+    )
+    def test_order_boundaries(self, monkeypatch, n, kernel):
+        rng = random.Random(n)
+        chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        g = px.graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]
+                                + [(u, v) for u, v in chords if u != v])
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        expected = _transmissions_scipy(g.adj)
+        _only(monkeypatch, kernel)
+        assert px.all_pairs_distances(g).transmissions == expected
+
+    @pytest.mark.parametrize(
+        "n, extra_levels, kernel",
+        [
+            (40, 0, "_transmissions_bitset"),
+            (40, 2, "_transmissions_scipy"),
+            (graphs._BIGINT_MIN_ORDER, 0, "_transmissions_bigint"),
+            (graphs._BIGINT_MIN_ORDER, 2, "_transmissions_scipy"),
+            (graphs._NUMPY_MIN_ORDER - 1, 2, "_transmissions_bigint"),
+        ],
+        ids=["numpy-at-cap", "numpy-above-cap", "bigint-at-cap", "bigint-above-cap", "small-order"],
+    )
+    def test_level_cap_boundary(self, monkeypatch, n, extra_levels, kernel):
+        # 2·ecc(0) at the cap, or at the cap + 2
+        g = _broom(n, graphs._BITSET_MAX_LEVELS // 2 + extra_levels // 2)
+        assert 2 * max(graphs._bfs(g.adj, 0)) == graphs._BITSET_MAX_LEVELS + extra_levels
+        expected = tuple(map(sum, graphs._bfs_rows(g.adj)))
+        _only(monkeypatch, kernel)
+        assert px.all_pairs_distances(g).transmissions == expected
+
+    @pytest.mark.parametrize(
+        "n, levels, kernel",
+        [
+            (graphs._NUMPY_MIN_ORDER - 1, 46, "_transmissions_bigint"),
+            (40, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
+            (40, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
+            (graphs._BIGINT_MIN_ORDER, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
+            (graphs._BIGINT_MIN_ORDER, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
+        ],
+        ids=["small-order", "at-cap", "above-cap", "large-at-cap", "large-above-cap"],
+    )
+    def test_weighted_takes_bigint_unless_long(self, monkeypatch, n, levels, kernel):
+        # F's rule has its own cap, and no numpy kernel
+        g = _broom(n, levels // 2)
+        assert 2 * max(graphs._bfs(g.adj, 0)) == levels
+        weights = [(7 * v) % 13 for v in range(n)]
+        expected = _transmissions_scipy(g.adj, weights)
+        _only(monkeypatch, kernel)
+        assert weighted_transmissions(g, weights) == expected
+
+    def test_weighted_rejects_disconnected(self):
+        with pytest.raises(ValueError, match="connected"):
+            weighted_transmissions(px.graph_from_edges(3, [(0, 1)]), [1, 1, 1])
+
+    def test_rule_reads_order_and_row0_only(self):
+        small, large, cap = graphs._NUMPY_MIN_ORDER, graphs._BIGINT_MIN_ORDER, graphs._BITSET_MAX_LEVELS
+
+        def row0(n, ecc):
+            return [0] + [min(v, ecc) for v in range(1, n)]
+
+        assert graphs._backend(1, [0]) == "bigint"
+        assert graphs._backend(small - 1, row0(small - 1, small - 2)) == "bigint"
+        assert graphs._backend(small - 1, [0] * (small - 2) + [INF]) == "bigint"
+        for n, kernel in ((small, "numpy"), (large - 1, "numpy"), (large, "bigint")):
+            assert graphs._backend(n, row0(n, cap // 2)) == kernel
+            assert graphs._backend(n, row0(n, cap // 2 + 1)) == "scipy"
+            assert graphs._backend(n, [0] * (n - 1) + [INF]) == "scipy"
 
 
 class TestTransmissions:
@@ -319,6 +497,7 @@ class TestTransmissions:
         expected = tuple(sum(lengths(h, v).values()) for v in range(g.n))
         assert px.all_pairs_distances(g).transmissions == expected
         assert _transmissions_bitset(g.adj) == _transmissions_scipy(g.adj) == expected
+        assert _transmissions_bigint(g.adj) == expected
 
     @pytest.mark.parametrize("n", [4, 40], ids=["python_rows", "scipy"])
     def test_disconnected_has_no_transmissions(self, n):
