@@ -6,6 +6,13 @@ completely joined) realizes any order / minimum-degree / maximum-degree
 triple with ``(n - Delta)`` divisible by ``delta + 1``, and its proximity
 and remoteness come within fixed additive constants of the degree-aware
 upper bounds.
+
+In a sequential sum every block is a clique and only consecutive blocks
+are joined, so two vertices in blocks i ≠ j are exactly |i − j| apart and
+two in one block are adjacent.  The transmissions and degrees of a member
+therefore follow from its block sizes in O(#blocks) sums, and the
+sharpness sweep builds no graph: :func:`sequential_sum` is kept for
+rendering a member and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from fractions import Fraction
 
 from .construction import degree_range_bounds
 # all_pairs_distances is not called here; perfbench's tracer test checks this binding
-from .graphs import Graph, all_pairs_distances, degree_stats, graph_from_edges  # noqa: F401
-from .invariants import invariant_summary
+from .graphs import Graph, all_pairs_distances, graph_from_edges  # noqa: F401
+from .invariants import summarize_transmissions
 from .oracle import parallel_map
 
 
@@ -55,6 +62,35 @@ def sequential_sum(spec: SequentialSumSpec) -> Graph:
                 for v in range(nlo, nhi):
                     edges.append((u, v))
     return graph_from_edges(n, edges)
+
+
+def sequential_sum_transmissions(spec: SequentialSumSpec) -> tuple[int, ...]:
+    """Transmissions of :func:`sequential_sum`, in its vertex order, from
+    the block sizes alone.
+
+    A vertex of block i has σ = Σ_j b_j·|i − j| + b_i − 1.  Stepping from
+    block i to block i + 1 takes the vertices of blocks 0..i one step
+    farther and all the others one step closer.
+    """
+    n = sum(spec.blocks)
+    far = sum(j * size for j, size in enumerate(spec.blocks))  # Σ_j b_j·|i − j| at i = 0
+    through = 0
+    out: list[int] = []
+    for size in spec.blocks:
+        out.extend([far + size - 1] * size)
+        through += size
+        far += 2 * through - n
+    return tuple(out)
+
+
+def sequential_sum_degrees(spec: SequentialSumSpec) -> tuple[int, ...]:
+    """Degrees of :func:`sequential_sum`, in its vertex order: a vertex of
+    block i sees the rest of its block and both neighbouring blocks."""
+    padded = (0, *spec.blocks, 0)
+    out: list[int] = []
+    for i in range(1, len(padded) - 1):
+        out.extend([padded[i - 1] + padded[i] - 1 + padded[i + 1]] * padded[i])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -147,17 +183,18 @@ class SharpnessRecord:
 
 
 def sharpness_report(p: ExtremalParams) -> SharpnessRecord:
-    """Brute-force the family member's proximity/remoteness and measure
-    the gap to the degree-aware bounds.
+    """The family member's proximity and remoteness, from the transmissions
+    of its blocks, and their gaps to the degree-aware bounds.
 
     Asserted limits: ``gap_pi < 49/4`` when ``Delta <= n/2``,
     ``gap_pi < 6*delta + 5/2`` when ``Delta >= n/2``, and always
     ``gap_rho <= 17/2``.  (At ``Delta = n/2`` both proximity limits
     apply; the tighter one is recorded.)
     """
-    g = extremal_graph(p)
-    assert degree_stats(g) == (p.delta, p.Delta)
-    inv = invariant_summary(g)
+    spec = SequentialSumSpec(extremal_block_sizes(p))
+    degrees = sequential_sum_degrees(spec)
+    assert len(degrees) == p.n and (min(degrees), max(degrees)) == (p.delta, p.Delta)
+    inv = summarize_transmissions(sequential_sum_transmissions(spec))
     bounds = degree_range_bounds(p.n, p.delta, p.Delta)
     gap_pi = bounds.pi_bound - inv.proximity
     gap_rho = bounds.rho_bound - inv.remoteness

@@ -48,9 +48,12 @@ _NUMPY_MIN_ORDER = 25
 #: against 786 ms.  From order 500 the big ints cost at most 1.7× in
 #: process, a few ms, while a process that needs numpy pays its import:
 #: 234 ms against 70 ms for a bare interpreter.  Below 500 the numpy
-#: kernel's lead counts in a long-lived process: the 480 ``extremal
-#: --sweep 16 120`` graphs that reach a kernel take 0.35 s on it against
-#: 0.78 s on big ints.
+#: kernel's lead counts in a long-lived process that has numpy loaded:
+#: the random graphs of order 25–60 that reach it in ``perfbench``'s
+#: ``certify-corpus`` and ``oracle-sweeps`` workloads, 320 in each at seed
+#: 1729 and 290 in the corpus at seed 7, take 42 and 48 ms on it against
+#: 51 and 72 ms on big ints (best of 5).  No ``perfbench`` graph has an
+#: order of 61–1999, so the threshold itself rests on the timings above.
 _BIGINT_MIN_ORDER = 500
 
 #: Above this ``2·ecc(0)``, which bounds both the diameter and the level
@@ -58,12 +61,12 @@ _BIGINT_MIN_ORDER = 500
 #: ``_NUMPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
 #: The cap also keeps the uint8 counters of the numpy kernel's ``.matrix``
 #: exact.  Numpy kernel against scipy, as a matrix: crossover diameters
-#: about 15 on the dense extremal family at n ≤ 120, 27 on a 4×25 grid;
-#: the 1,128 ``extremal --sweep 16 120`` graphs left on scipy would take
-#: 2.80 s on the kernel against 1.63 s.  Big-int transmissions against
-#: scipy on grids of order 500, by 2·ecc(0): 86, 16.6 against 32.5 ms;
-#: 136, 14.8 against 11.2 ms; 254, 25.1 against 9.3 ms; on a 4×500 grid
-#: (1004) 681 against 182 ms.
+#: about 15 on the dense sequential sums of the ``extremal`` family at
+#: n ≤ 120, 27 on a 4×25 grid; the 1,128 of those sums of order 16–120
+#: above the cap would take 2.80 s on the kernel against 1.63 s.  Big-int
+#: transmissions against scipy on grids of order 500, by 2·ecc(0): 86,
+#: 16.6 against 32.5 ms; 136, 14.8 against 11.2 ms; 254, 25.1 against
+#: 9.3 ms; on a 4×500 grid (1004) 681 against 182 ms.
 _BITSET_MAX_LEVELS = 32
 
 #: Above this ``2·ecc(0)``, :func:`weighted_transmissions` takes scipy
@@ -80,12 +83,13 @@ _WEIGHTED_MAX_LEVELS = 64
 
 #: Sources per batch, 64·k with k = 1, of the numpy kernel's transmissions
 #: and of scipy's rows: a batch holds O((n + m)·k) words, or 64·k scipy
-#: rows.  The 480 ``extremal --sweep 16 120`` graphs on the numpy kernel
-#: take 0.35 s at k = 1 against 0.50 s at k = 2 and 0.47 s at k = 4; sparse
-#: graphs of order 250–499 take 1.3–3.7 ms (k = 1) against 0.5–1.9 ms
-#: (k = 4), with a ``tracemalloc`` peak of 0.22–0.47·n² bytes against
-#: 0.62–1.02·n².  Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n²
-#: bytes at k = 1, 221 ms and 2.11·n² at k = 4.
+#: rows.  The 480 dense sequential sums of order 16–120 with
+#: 2·ecc(0) ≤ 32 in the ``extremal`` family take 0.35 s at k = 1 against
+#: 0.50 s at k = 2 and 0.47 s at k = 4; sparse graphs of order 250–499
+#: take 1.3–3.7 ms (k = 1) against 0.5–1.9 ms (k = 4), with a
+#: ``tracemalloc`` peak of 0.22–0.47·n² bytes against 0.62–1.02·n².
+#: Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n² bytes at
+#: k = 1, 221 ms and 2.11·n² at k = 4.
 _BATCH_SOURCES = 64 * 1
 
 #: Largest order :func:`parse_graph` accepts.  ``verify --chain`` builds no

@@ -210,6 +210,15 @@ class TestExtremal:
         assert lines[0].startswith("n,delta,Delta,case,")
         assert len(lines) > 1
 
+    def test_sweep_never_imports_numpy(self):
+        # the sweep reads every member's invariants from its block sizes
+        out, loaded = _numpy_and_scipy_after(
+            "from proxrem.cli import main\n"
+            "assert main(['extremal', '--delta', '3', '--sweep', '16', '120']) == 0"
+        )
+        assert len(out.splitlines()) == 1 + 1641
+        assert loaded == []
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.edges"
         code, _, _ = _run(

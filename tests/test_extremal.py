@@ -1,16 +1,34 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import proxrem as px
+from proxrem import extremal, graphs, invariants
+from proxrem.construction import degree_range_bounds
 from proxrem.extremal import (
     ExtremalParams,
     SequentialSumSpec,
+    SharpnessRecord,
     extremal_block_sizes,
     layer_assignment,
     nearest_valid_n,
+    sequential_sum_degrees,
+    sequential_sum_transmissions,
     valid_Deltas,
 )
+
+from .conftest import floyd_warshall
+
+
+def _specs(max_size, max_blocks):
+    return st.lists(st.integers(1, max_size), min_size=1, max_size=max_blocks).map(
+        lambda b: SequentialSumSpec(tuple(b)))
+
+
+#: One to fifteen blocks of 1–5 vertices: orders 1–75.
+specs = _specs(5, 15)
 
 
 class TestSequentialSum:
@@ -35,6 +53,76 @@ class TestSequentialSum:
             SequentialSumSpec(())
         with pytest.raises(ValueError):
             SequentialSumSpec((2, 0))
+
+
+class TestBlockFormulas:
+    """Transmissions and degrees from block sizes, against the built graph."""
+
+    @given(specs)
+    @example(SequentialSumSpec((1,)))
+    @example(SequentialSumSpec((6,)))
+    @example(SequentialSumSpec((1,) * 15))
+    @example(SequentialSumSpec((3, 4)))
+    @example(SequentialSumSpec((5,) * 15))
+    @settings(max_examples=150, deadline=None)
+    def test_transmissions_match_bfs(self, spec):
+        g = px.sequential_sum(spec)
+        assert sequential_sum_transmissions(spec) == px.all_pairs_distances(g).transmissions
+
+    @given(_specs(4, 10))  # orders to 40 for the cubic Floyd–Warshall
+    @example(SequentialSumSpec((1,)))
+    @example(SequentialSumSpec((1,) * 15))
+    @example(SequentialSumSpec((2, 5)))
+    @settings(max_examples=40, deadline=None)
+    def test_transmissions_match_floyd_warshall(self, spec):
+        assert sequential_sum_transmissions(spec) == tuple(map(sum, floyd_warshall(px.sequential_sum(spec))))
+
+    @given(specs)
+    @example(SequentialSumSpec((1,)))
+    @example(SequentialSumSpec((4,)))
+    @example(SequentialSumSpec((1, 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_degrees_match_graph(self, spec):
+        g = px.sequential_sum(spec)
+        assert sequential_sum_degrees(spec) == tuple(g.degree(v) for v in range(g.n))
+
+    @pytest.mark.parametrize("delta, lo, hi", [(3, 16, 60), (4, 10, 50)])
+    def test_sweep_matches_built_graphs(self, delta, lo, hi):
+        records = px.sharpness_sweep(delta, lo, hi)
+        assert records == [_record_from_graph(ExtremalParams(r.n, delta, r.Delta)) for r in records]
+
+    def test_report_builds_no_graph(self, monkeypatch):
+        for module in (px, extremal, graphs, invariants):
+            for name in ("graph_from_edges", "all_pairs_distances"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _raise)
+        records = px.sharpness_sweep(3, 16, 40)
+        assert len(records) == sum(len(valid_Deltas(n, 3)) for n in range(16, 41))
+        assert px.sharpness_report(ExtremalParams(20, 3, 8)) in records
+        with pytest.raises(AssertionError):
+            px.extremal_graph(ExtremalParams(20, 3, 8))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the sharpness sweep must not build a graph or run a BFS")
+
+
+def _record_from_graph(p):
+    """The sharpness record of ``p`` from its built graph's BFS."""
+    g = px.extremal_graph(p)
+    assert px.degree_stats(g) == (p.delta, p.Delta)
+    inv = px.invariant_summary(g)
+    bounds = degree_range_bounds(p.n, p.delta, p.Delta)
+    limits = ([Fraction(49, 4)] if 2 * p.Delta <= p.n else []) + (
+        [6 * p.delta + Fraction(5, 2)] if 2 * p.Delta >= p.n else []
+    )
+    gap_pi, gap_rho = bounds.pi_bound - inv.proximity, bounds.rho_bound - inv.remoteness
+    return SharpnessRecord(
+        n=p.n, delta=p.delta, Delta=p.Delta, case=bounds.case,
+        proximity=inv.proximity, pi_bound=bounds.pi_bound, gap_pi=gap_pi,
+        remoteness=inv.remoteness, rho_bound=bounds.rho_bound, gap_rho=gap_rho,
+        gap_pi_limit=min(limits), within_limits=gap_pi < min(limits) and gap_rho <= Fraction(17, 2),
+    )
 
 
 class TestExtremalFamily:
@@ -130,3 +218,9 @@ class TestSharpness:
         assert len(records) == sum(len(valid_Deltas(n, 3)) for n in range(16, 29))
         assert all(r.within_limits for r in records)
         assert px.sharpness_sweep(3, 16, 28, jobs=2) == records
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_every_member_to_order_240_within_limits(self, delta):
+        records = px.sharpness_sweep(delta, delta + 13, 240)
+        assert len(records) == sum(len(valid_Deltas(n, delta)) for n in range(delta + 13, 241))
+        assert all(r.within_limits for r in records)
