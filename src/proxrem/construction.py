@@ -408,6 +408,43 @@ def certify_remoteness_chain(
     )
 
 
+class BoundVerdicts(NamedTuple):
+    """The six bounds of one exact key, with slack and verdicts."""
+
+    case: str  # of :func:`degree_range_bounds`
+    proximity: Fraction
+    remoteness: Fraction
+    bounds: dict[str, Fraction]
+    slack: dict[str, Fraction]
+    holds: dict[str, bool]
+
+
+def bound_verdicts(n: int, delta: int, Delta: int, sigma_min: int, sigma_max: int) -> BoundVerdicts:
+    """All six bounds on a connected graph of order ``n`` with degree
+    extremes ``delta`` and ``Delta`` and transmission extremes ``sigma_min``
+    and ``sigma_max``: the one place the bounds meet a graph's proximity
+    and remoteness.  A pure function of its arguments, so equal keys give
+    equal verdicts."""
+    proximity = Fraction(sigma_min, n - 1)
+    remoteness = Fraction(sigma_max, n - 1)
+    cb = classical_bounds(n, delta)
+    db = degree_range_bounds(n, delta, Delta)
+    bounds = {
+        "proximity_order": cb.pi_order,
+        "proximity_min_degree": cb.pi_min_degree,
+        "proximity_degree_aware": db.pi_bound,
+        "remoteness_order": cb.rho_order,
+        "remoteness_min_degree": cb.rho_min_degree,
+        "remoteness_degree_aware": db.rho_bound,
+    }
+    slack = {
+        name: bound - (proximity if name.startswith("proximity") else remoteness)
+        for name, bound in bounds.items()
+    }
+    holds = {name: s >= 0 for name, s in slack.items()}
+    return BoundVerdicts(db.case, proximity, remoteness, bounds, slack, holds)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every applicable bound for one graph, with exact slack and verdicts."""
@@ -435,27 +472,14 @@ class BoundReport:
 def bound_report(
     g: Graph, include_chains: bool = False, oracle: DistanceOracle | None = None
 ) -> BoundReport:
-    """Evaluate all six bounds (and optionally both chains) on ``g``;
-    ``oracle`` is G's, when the caller already has it."""
+    """Evaluate all six bounds, through :func:`bound_verdicts`, and
+    optionally both chains on ``g``; ``oracle`` is G's, when the caller
+    already has it."""
     d = oracle if oracle is not None else all_pairs_distances(g)
     inv = invariant_summary(g, d)
     delta, Delta = degree_stats(g)
-    cb = classical_bounds(g.n, delta)
-    db = degree_range_bounds(g.n, delta, Delta)
-    bounds = {
-        "proximity_order": cb.pi_order,
-        "proximity_min_degree": cb.pi_min_degree,
-        "proximity_degree_aware": db.pi_bound,
-        "remoteness_order": cb.rho_order,
-        "remoteness_min_degree": cb.rho_min_degree,
-        "remoteness_degree_aware": db.rho_bound,
-    }
-    actual = {
-        name: (inv.proximity if name.startswith("proximity") else inv.remoteness)
-        for name in bounds
-    }
-    slack = {name: bounds[name] - actual[name] for name in bounds}
-    holds = {name: slack[name] >= 0 for name in bounds}
+    trans = inv.transmissions
+    verdicts = bound_verdicts(g.n, delta, Delta, min(trans), max(trans))
 
     prox_chain = rem_chain = None
     if include_chains:
@@ -467,12 +491,12 @@ def bound_report(
         order=g.n,
         delta=delta,
         Delta=Delta,
-        case=db.case,
-        proximity=inv.proximity,
-        remoteness=inv.remoteness,
-        bounds=bounds,
-        slack=slack,
-        holds=holds,
+        case=verdicts.case,
+        proximity=verdicts.proximity,
+        remoteness=verdicts.remoteness,
+        bounds=verdicts.bounds,
+        slack=verdicts.slack,
+        holds=verdicts.holds,
         proximity_chain=prox_chain,
         remoteness_chain=rem_chain,
     )

@@ -22,47 +22,36 @@ INF: int = 2**31 - 1
 
 #: The selection rule of :func:`_backend`, a pure function of the order n
 #: and vertex 0's BFS row.  Below ``_NUMPY_MIN_ORDER`` every graph takes the
-#: big-int kernel for its transmissions and Python BFS rows for its matrix,
-#: and numpy is never imported.  From there on, ``2·ecc(0)`` decides:
-#: above ``_BITSET_MAX_LEVELS`` scipy, otherwise the numpy kernel below
-#: ``_BIGINT_MIN_ORDER`` and the big-int kernel from it on.
+#: big-int kernel for its transmissions and Python BFS rows for its matrix.
+#: From there on, ``2·ecc(0)`` decides: above ``_BITSET_MAX_LEVELS`` scipy,
+#: otherwise the big-int kernel again, so that numpy and scipy are imported
+#: only for a graph of long diameter or for a matrix.
 #:
 #: Measured on 2 cores, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, best of
 #: 3, transmissions only.  Below 25 the big-int kernel beats Python rows:
-#: the 18,248 labelled trees of order ≤ 7 take 0.37 s against 0.48 s, the
-#: 180 graphs of order < 25 in the seed-1729 random corpus 8 ms against
-#: 29 ms; per graph at order 16/20/24 (mean degree 3) 47/67/86 µs against
-#: 133/205/280 µs, and the numpy kernel 123/138/149 µs.  Above 25 the
-#: numpy kernel catches up near order 30 (G(n, 0.3)) to 40 (mean degree 3),
-#: and the corpus's 320 graphs of order 25–60 that reach a kernel take
-#: 57 ms on it against 76 ms on big ints.
-_NUMPY_MIN_ORDER = 25
-
-#: From this order on, a graph with ``2·ecc(0) ≤ _BITSET_MAX_LEVELS`` takes
-#: the big-int kernel.  Numpy kernel against big ints, mean ms over random
-#: graphs: order 120, mean degree 3 0.53/0.71 and G(n, 0.3) 0.55/1.02;
-#: order 300, 1.24/1.31 and 3.02/3.95; order 500, 3.74/4.37, G(n, 0.1)
-#: 4.21/7.14 and G(n, 0.3) 9.55/11.83; order 1000, 7.3/6.9 and G(n, 0.1)
-#: 28.5/18.5; order 2000 (the 12 ``verify-large`` graphs of seeds 1729, 7
-#: and 4242) 16–35 ms against 10–27 ms; a sparse graph of order 10⁴ 913
-#: against 786 ms.  From order 500 the big ints cost at most 1.7× in
+#: the 180 graphs of order < 25 in the seed-1729 random corpus take 8 ms
+#: against 29 ms; per graph at order 16/20/24 (mean degree 3) 47/67/86 µs
+#: against 133/205/280 µs.  A numpy MS-BFS, since removed, against big
+#: ints, mean ms over random graphs: order 120, mean degree 3 0.53/0.71 and
+#: G(n, 0.3) 0.55/1.02; order 500, G(n, 0.1) 4.21/7.14; order 1000,
+#: 7.3/6.9 and G(n, 0.1) 28.5/18.5; order 2000 (the 12 ``verify-large``
+#: graphs of seeds 1729, 7 and 4242) 16–35 against 10–27; a sparse graph
+#: of order 10⁴ 913 against 786.  Big ints cost at most about 2× in
 #: process, a few ms, while a process that needs numpy pays its import:
-#: 234 ms against 70 ms for a bare interpreter.  Below 500 the numpy
-#: kernel's lead counts in a long-lived process that has numpy loaded:
-#: the random graphs of order 25–60 that reach it in ``perfbench``'s
-#: ``certify-corpus`` and ``oracle-sweeps`` workloads, 320 in each at seed
-#: 1729 and 290 in the corpus at seed 7, take 42 and 48 ms on it against
-#: 51 and 72 ms on big ints (best of 5).  No ``perfbench`` graph has an
-#: order of 61–1999, so the threshold itself rests on the timings above.
-_BIGINT_MIN_ORDER = 500
+#: 234 ms against 70 ms for a bare interpreter.  The 320 graphs of order
+#: 25–60 of the seed-1729 corpus took 42 ms on numpy against 51 ms on big
+#: ints (best of 5), about 0.2 % of a ``certify-corpus`` pass, and at
+#: seeds 1729 and 7 they were all that made ``oracle bound-check --random
+#: 500 --max-n 60`` import numpy.
+_NUMPY_MIN_ORDER = 25
 
 #: Above this ``2·ecc(0)``, which bounds both the diameter and the level
 #: count of a multi-source BFS, a graph of order at least
 #: ``_NUMPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
-#: The cap also keeps the uint8 counters of the numpy kernel's ``.matrix``
-#: exact.  Numpy kernel against scipy, as a matrix: crossover diameters
-#: about 15 on the dense sequential sums of the ``extremal`` family at
-#: n ≤ 120, 27 on a 4×25 grid; the 1,128 of those sums of order 16–120
+#: The cap also picks the numpy MS-BFS for ``.matrix`` and keeps its
+#: uint8 counters exact.  That kernel against scipy, as a matrix:
+#: crossover diameters about 15 on the dense sequential sums of the
+#: ``extremal`` family at n ≤ 120, 27 on a 4×25 grid; the 1,128 of those sums of order 16–120
 #: above the cap would take 2.80 s on the kernel against 1.63 s.  Big-int
 #: transmissions against scipy on grids of order 500, by 2·ecc(0): 86,
 #: 16.6 against 32.5 ms; 136, 14.8 against 11.2 ms; 254, 25.1 against
@@ -70,26 +59,19 @@ _BIGINT_MIN_ORDER = 500
 _BITSET_MAX_LEVELS = 32
 
 #: Above this ``2·ecc(0)``, :func:`weighted_transmissions` takes scipy
-#: rows in place of the big-int kernel; it has no numpy kernel, and an
-#: order below 25 never reaches the cap.  The weighted kernel on the
-#: auxiliary graphs F of real constructions, against scipy, ms: F of order
-#: 157–2148 from sparse graphs of order 10³–10⁴, 2·ecc(0) 22–40, 0.16–0.89×
-#: as long; from grids, F of order 75–279 and 2·ecc(0) 34–66, 1.3–11.6
+#: rows in place of the big-int kernel; an order below 25 never reaches
+#: the cap.  The weighted kernel on the auxiliary graphs F of real
+#: constructions, against scipy, ms: F of order 157–2148 from sparse
+#: graphs of order 10³–10⁴, 2·ecc(0) 22–40, 0.16–0.89× as long; from grids, F of order 75–279 and 2·ecc(0) 34–66, 1.3–11.6
 #: against 0.5–7.8; order 425–839 and 88–110, 19.6–68.0 against 9.8–72.4;
 #: order 200 and 134, 15.4 against 1.6.  Below the cap F costs at most a
 #: few ms more, while a process that first reaches scipy here pays its
 #: import: 691 ms against 234 ms for numpy alone.
 _WEIGHTED_MAX_LEVELS = 64
 
-#: Sources per batch, 64·k with k = 1, of the numpy kernel's transmissions
-#: and of scipy's rows: a batch holds O((n + m)·k) words, or 64·k scipy
-#: rows.  The 480 dense sequential sums of order 16–120 with
-#: 2·ecc(0) ≤ 32 in the ``extremal`` family take 0.35 s at k = 1 against
-#: 0.50 s at k = 2 and 0.47 s at k = 4; sparse graphs of order 250–499
-#: take 1.3–3.7 ms (k = 1) against 0.5–1.9 ms (k = 4), with a
-#: ``tracemalloc`` peak of 0.22–0.47·n² bytes against 0.62–1.02·n².
-#: Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n² bytes at
-#: k = 1, 221 ms and 2.11·n² at k = 4.
+#: Sources per batch of scipy's rows, 64·k with k = 1: a batch holds 64·k
+#: rows.  Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n² bytes
+#: at k = 1, 221 ms and 2.11·n² at k = 4.
 _BATCH_SOURCES = 64 * 1
 
 #: Largest order :func:`parse_graph` accepts.  ``verify --chain`` builds no
@@ -148,8 +130,7 @@ class DistanceOracle:
     ``transmissions`` are every vertex's distance sum, exact and computed
     with no n×n array, or ``None`` when the graph is disconnected.
     ``matrix`` holds all pairs, a numpy int64 array, with ``INF`` marking
-    unreachable pairs; only it and the numpy and scipy backends import
-    numpy.
+    unreachable pairs; only it and the scipy backend import numpy.
     """
 
     connected: bool
@@ -331,7 +312,7 @@ def _transmissions_bigint(
 ) -> tuple[int, ...]:
     """Transmissions, or weighted transmissions σ_w(v) = Σ_u w_u·d(u, v),
     from a multi-source BFS from every vertex at once with Python ints as
-    bitsets (the kernel of :func:`_msbfs_levels`, without numpy).
+    bitsets (the kernel of :func:`_distances_bitset`, without numpy).
 
     Bit s of ``unseen[v]`` is set while source s has not reached v.  A
     level ORs the frontier ints of v's neighbours and keeps the unseen
@@ -399,77 +380,37 @@ def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _msbfs_levels(
-    indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Multi-source BFS from the sources ``lo..hi-1`` at once, 64 per word.
+def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """All pairs from a multi-source BFS from every vertex at once, 64
+    sources per word, as a matrix.
 
-    Bit s − lo of ``unseen[v]`` is set while source s has not reached v.
-    Each level ORs the frontier rows of v's neighbours; it yields the level,
-    the cells it reaches (``nxt``) and the cells unseen before it (``nxt``
-    included), then moves on.  ``reduceat`` misreads empty segments, so
-    every vertex needs a neighbour: callers pass connected graphs of order
-    at least 2 only.
+    Bit s of ``unseen[v]`` is set while source s has not reached v.  Each
+    level ORs the frontier rows of v's neighbours and keeps the unseen
+    bits; every level at which a cell is still unseen adds 1 to it, so the
+    cell ends as the hop distance.  The uint8 counter holds any diameter up
+    to 255; the dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS``
+    here.  ``reduceat`` misreads empty segments, so every vertex needs a
+    neighbour: a connected graph of order at least 2.
     """
     import numpy as np
 
-    n = len(indptr) - 1
-    starts = indptr[:-1]
-    src = np.arange(lo, hi)
-    bit = src - lo
+    n = len(adj)
+    indptr, indices = _csr(adj)
+    src = np.arange(n)
     # little-endian words, so that unpackbits(bitorder="little") of a row
     # lists the sources in order on any host
-    frontier = np.zeros((n, -(-(hi - lo) // 64)), dtype="<u8")
-    frontier[src, bit >> 6] = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+    frontier = np.zeros((n, -(-n // 64)), dtype="<u8")
+    frontier[src, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
     unseen = ~frontier
-    level = 0
+    acc = np.zeros((n, 64 * frontier.shape[1]), dtype=np.uint8)
     while True:
-        nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        nxt = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
         nxt &= unseen
         if not nxt.any():
-            return
-        level += 1
-        yield level, nxt, unseen
+            return acc[:, :n].astype(np.int64)
+        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
         unseen ^= nxt
         frontier = nxt
-
-
-def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    """The bit-parallel BFS from every source in one batch, as a matrix.
-
-    Every level at which a cell is still unseen adds 1 to it, so the cell
-    ends as the hop distance.  The uint8 counter holds any diameter up to
-    255; the dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS``
-    here.
-    """
-    import numpy as np
-
-    n = len(adj)
-    acc = np.zeros((n, 64 * -(-n // 64)), dtype=np.uint8)
-    for _, _, unseen in _msbfs_levels(*_csr(adj), 0, n):
-        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
-    return acc[:, :n].astype(np.int64)
-
-
-def _transmissions_bitset(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Transmissions from the bit-parallel BFS, ``_BATCH_SOURCES`` sources
-    at a time.
-
-    A set bit of ``nxt[v]`` at level l is a source at distance l from v, and
-    distances are symmetric, so l times the popcount of v's row, summed over
-    the levels and the batches, is v's transmission.  Counts are int64; no
-    bit is unpacked.
-    """
-    import numpy as np
-
-    n = len(adj)
-    batch = _BATCH_SOURCES
-    indptr, indices = _csr(adj)
-    trans = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, batch):
-        for level, nxt, _ in _msbfs_levels(indptr, indices, lo, min(lo + batch, n)):
-            trans += level * np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
-    return tuple(trans.tolist())
 
 
 def _dijkstra(adj: Sequence[Sequence[int]]) -> Callable[..., np.ndarray]:
@@ -516,15 +457,13 @@ def _transmissions_scipy(
 
 
 def _backend(n: int, row0: Sequence[int]) -> str:
-    """``"bigint"``, ``"numpy"`` or ``"scipy"``: the kernel for the
-    transmissions of a graph of order ``n`` whose vertex 0 has BFS row
-    ``row0``.  Twice the eccentricity of vertex 0 bounds the diameter, and
-    is ``INF``-sized when the graph is disconnected."""
-    if n < _NUMPY_MIN_ORDER:
+    """``"bigint"`` or ``"scipy"``: the kernel for the transmissions of a
+    graph of order ``n`` whose vertex 0 has BFS row ``row0``.  Twice the
+    eccentricity of vertex 0 bounds the diameter, and is ``INF``-sized when
+    the graph is disconnected."""
+    if n < _NUMPY_MIN_ORDER or 2 * max(row0) <= _BITSET_MAX_LEVELS:
         return "bigint"
-    if 2 * max(row0) > _BITSET_MAX_LEVELS:
-        return "scipy"
-    return "bigint" if n >= _BIGINT_MIN_ORDER else "numpy"
+    return "scipy"
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
@@ -533,16 +472,14 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
 
     :func:`_backend` picks the transmissions' kernel from the order and that
     row.  The matrix comes from Python BFS rows below order
-    ``_NUMPY_MIN_ORDER``, from the numpy kernel when twice the eccentricity
+    ``_NUMPY_MIN_ORDER``, from the numpy MS-BFS when twice the eccentricity
     of vertex 0 is at most ``_BITSET_MAX_LEVELS``, and from scipy otherwise,
     disconnected graphs included.  Every kernel gives identical
     transmissions and matrices (unit tests cross-check them).
     """
     adj = g.adj
     row0 = _bfs(adj, 0)
-    trans = {
-        "bigint": _transmissions_bigint, "numpy": _transmissions_bitset, "scipy": _transmissions_scipy
-    }[_backend(g.n, row0)]
+    trans = _transmissions_bigint if _backend(g.n, row0) == "bigint" else _transmissions_scipy
     if g.n < _NUMPY_MIN_ORDER:
         matrix = _distances_python
     elif 2 * max(row0) <= _BITSET_MAX_LEVELS:

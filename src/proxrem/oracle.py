@@ -5,6 +5,11 @@ sweep checking the closed-form weighted-distance bounds against every
 small integer-weighted tree, exhaustive/randomized verification of all
 proximity and remoteness bounds, and the seeded random-connected-graph
 sampler used by every randomized corpus.
+
+The exhaustive tree check builds no Graph per tree.  Each tree's
+transmissions come from the leaf order of its Prufer decode, and the six
+bounds are evaluated once per exact key (order, degree extremes,
+transmission extremes), which every tree with that key then reads.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .construction import bound_report
+from .construction import BoundVerdicts, bound_report, bound_verdicts
 from .graphs import Graph, _distances_python, graph_from_edges, is_connected, render_graph
 from .weighted import any_vertex_bound, median_bound
 
@@ -73,6 +78,27 @@ def _decode_edges(seq: Sequence[int], m: int) -> list[tuple[int, int]]:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return edges
+
+
+def _prufer_transmissions(seq: Sequence[int], m: int) -> list[int]:
+    """Transmissions of the decoded tree of order ``m`` >= 2, from the
+    decode alone: no Graph and no BFS.
+
+    :func:`_decode_edges` lists each edge as (leaf, neighbour) in
+    leaf-removal order, which is a post-order toward the last vertex left,
+    the root.  Subtree sizes accumulate along it; σ(root) is the sum of
+    the depths, Σ size(v) − m, and in reverse order each leaf has
+    σ(leaf) = σ(parent) + m − 2·size(leaf).
+    """
+    edges = _decode_edges(seq, m)
+    size = [1] * m
+    for leaf, up in edges:
+        size[up] += size[leaf]
+    sigma = [0] * m
+    sigma[edges[-1][1]] = sum(size) - m
+    for leaf, up in reversed(edges):
+        sigma[leaf] = sigma[up] + m - 2 * size[leaf]
+    return sigma
 
 
 def _decode_adj(seq: Sequence[int], m: int) -> list[list[int]]:
@@ -418,15 +444,73 @@ class BoundCheckReport:
         return not self.violations and self.path_equality_ok is not False
 
 
-def _is_path(g: Graph) -> bool:
-    return g.n >= 2 and max(len(a) for a in g.adj) <= 2 and g.edge_count() == g.n - 1
+class _Shard(NamedTuple):
+    """What one shard of a bound check hands to the merge.  A handle names
+    one checked graph: ``(order, Prufer sequence)`` for a tree, the corpus
+    index for a random graph."""
+
+    graphs: int
+    minima: dict[str, tuple[Fraction, Hashable]]  # slack, first handle attaining it
+    violations: list[tuple[Hashable, Fraction]]  # handle, slack of its worst bound
+    path_equality_ok: bool | None
 
 
-def _check_one(labeled: tuple[str, Graph]) -> tuple[str, dict, bool, bool, str]:
-    label, g = labeled
+def _worst(slack: dict[str, Fraction]) -> Fraction:
+    return slack[min(slack, key=slack.__getitem__)]
+
+
+def _tree_shard(shard: tuple[int, tuple[int, ...]]) -> _Shard:
+    """Every labelled tree of order ``m`` whose Prufer sequence starts with
+    ``prefix``, in product order.
+
+    A tree's exact key (m, δ = 1, Δ, σmin, σmax) comes from its sequence:
+    Δ is 1 + the largest multiplicity of a symbol, the transmissions come
+    from :func:`_prufer_transmissions`.  :func:`bound_verdicts` runs once
+    per distinct key, since equal keys give equal verdicts, and a tree's
+    checks read its key's.  A tree is a path exactly when Δ <= 2.
+    """
+    m, prefix = shard
+    # key -> its verdicts, whether all six hold, and its first tree
+    seen: dict[tuple[int, ...], tuple[BoundVerdicts, bool, tuple[int, ...]]] = {}
+    violations: list[tuple[Hashable, Fraction]] = []
+    rest = m - 2 - len(prefix)
+    for tail in itertools.product(range(m), repeat=rest):
+        seq = prefix + tail
+        sigma = _prufer_transmissions(seq, m)
+        key = (m, 1, 1 + max(map(seq.count, seq), default=0), min(sigma), max(sigma))
+        entry = seen.get(key)
+        if entry is None:
+            verdicts = bound_verdicts(*key)
+            entry = seen[key] = (verdicts, all(verdicts.holds.values()), seq)
+        if not entry[1]:
+            violations.append(((m, seq), _worst(entry[0].slack)))
+    # keys in order of their first tree, so a strict < keeps the first tree
+    minima: dict[str, tuple[Fraction, Hashable]] = {}
+    for verdicts, _, seq in seen.values():
+        for name, value in verdicts.slack.items():
+            if name not in minima or value < minima[name][0]:
+                minima[name] = (value, (m, seq))
+    path_eq = all(
+        (v.slack["remoteness_order"] == 0) == (key[2] <= 2) for key, (v, _, _) in seen.items()
+    )
+    return _Shard(m**rest, minima, violations, path_eq)
+
+
+def _describe_tree(handle: tuple[int, tuple[int, ...]]) -> tuple[str, str]:
+    """Label and edge list of a tree; its index is the sequence read as a
+    base-m numeral, its position in :func:`enumerate_trees`."""
+    m, seq = handle
+    index = 0
+    for x in seq:
+        index = index * m + x
+    return f"tree-m{m}-i{index}", render_graph(prufer_decode(seq, m))
+
+
+def _random_shard(item: tuple[int, Graph]) -> _Shard:
+    i, g = item
     report = bound_report(g)
-    eq1_tight = report.slack["remoteness_order"] == 0
-    return label, report.slack, report.all_hold(), eq1_tight == _is_path(g), render_graph(g)
+    violations = [] if report.all_hold() else [(i, _worst(report.slack))]
+    return _Shard(1, {name: (value, i) for name, value in report.slack.items()}, violations, None)
 
 
 def exhaustive_bound_check(
@@ -438,42 +522,60 @@ def exhaustive_bound_check(
 ) -> BoundCheckReport:
     """Verify all six bounds over trees (exhaustive) or random graphs.
 
-    Trees mode enumerates every labeled tree on 2..max_n vertices and
-    additionally checks that the order-only remoteness bound is tight
-    exactly on paths.  Random mode checks ``samples`` seeded connected
-    graphs of order up to ``max_n``.
+    Trees mode checks every labelled tree on 2..max_n vertices, and that
+    the order-only remoteness bound is tight exactly on paths.  It builds
+    no Graph per tree: :func:`_tree_shard` reads each tree's key off its
+    Prufer sequence, one shard per (order, first symbol).  Random mode
+    checks ``samples`` seeded connected graphs of order up to ``max_n``
+    through :func:`~proxrem.construction.bound_report`, one shard per
+    graph.
+
+    Shards run through :func:`parallel_map`, and the merge takes them in
+    order with a strict ``<``, so each witness is the first graph attaining
+    its bound's minimum and the report is the same for any ``jobs``.  An
+    edge list is rendered only for a violation or a final witness.
     """
     if sampler == "exhaustive-trees":
         if not 2 <= max_n <= 8:
             raise ValueError(f"exhaustive tree mode needs 2 <= max_n <= 8, got {max_n}")
-        labeled = [
-            (f"tree-m{m}-i{i}", t)
+        items: list = [
+            (m, prefix)
             for m in range(2, max_n + 1)
-            for i, t in enumerate(enumerate_trees(m))
+            for prefix in itertools.product(range(m), repeat=min(1, m - 2))
         ]
-        params = {"max_n": max_n}
+        shard_fn: Callable[..., _Shard] = _tree_shard
+        describe: Callable[..., tuple[str, str]] = _describe_tree
+        params: dict = {"max_n": max_n}
     elif sampler == "random":
         if samples < 1:
             raise ValueError("random mode needs samples >= 1")
         if max_n < 2:
             raise ValueError(f"random mode needs --max-n >= 2, got {max_n}")
         graphs = sample_corpus(seed, samples, max_n)
-        labeled = [(f"random-seed{seed}-i{i}", g) for i, g in enumerate(graphs)]
+        items = list(enumerate(graphs))
+        shard_fn = _random_shard
+
+        def describe(i: int) -> tuple[str, str]:
+            return f"random-seed{seed}-i{i}", render_graph(graphs[i])
+
         params = {"max_n": max_n, "samples": samples, "seed": seed}
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    results = parallel_map(_check_one, labeled, jobs)
-    report = BoundCheckReport(mode=sampler, params=params, graphs=len(labeled))
-    path_eq_ok = True
-    for label, slack, holds, path_eq, edge_list in results:
-        if not holds:
-            worst = min(slack, key=lambda k: slack[k])
-            report.violations.append(BoundWitness(label, slack[worst], edge_list))
-        path_eq_ok = path_eq_ok and path_eq
-        for name, value in slack.items():
-            if name not in report.min_slack or value < report.min_slack[name]:
-                report.min_slack[name] = value
-                report.witness[name] = BoundWitness(label, value, edge_list)
-    report.path_equality_ok = path_eq_ok if sampler == "exhaustive-trees" else None
+    shards = parallel_map(shard_fn, items, jobs)
+    report = BoundCheckReport(mode=sampler, params=params, graphs=sum(s.graphs for s in shards))
+    minima: dict[str, tuple[Fraction, Hashable]] = {}
+    for shard in shards:
+        for handle, slack in shard.violations:
+            label, edge_list = describe(handle)
+            report.violations.append(BoundWitness(label, slack, edge_list))
+        for name, (value, handle) in shard.minima.items():
+            if name not in minima or value < minima[name][0]:
+                minima[name] = (value, handle)
+    for name, (value, handle) in minima.items():
+        label, edge_list = describe(handle)
+        report.min_slack[name] = value
+        report.witness[name] = BoundWitness(label, value, edge_list)
+    if sampler == "exhaustive-trees":
+        report.path_equality_ok = all(shard.path_equality_ok for shard in shards)
     return report

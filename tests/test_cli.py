@@ -37,7 +37,7 @@ def no_apsp(monkeypatch):
     def forbidden(*_):
         raise AssertionError("all-pairs distances computed")
 
-    for name in ("_transmissions_bigint", "_transmissions_bitset", "_transmissions_scipy",
+    for name in ("_transmissions_bigint", "_transmissions_scipy",
                  "_distances_python", "_distances_bitset", "_distances_scipy"):
         monkeypatch.setattr(graphs, name, forbidden)
 
@@ -266,6 +266,16 @@ class TestOracle:
         assert doc["bound_check"]["ok"] is True
         assert doc["bound_check"]["path_equality_ok"] is True
 
+    def test_bound_check_random_never_imports_numpy(self):
+        # below the level cap every transmission takes the big-int kernel,
+        # and no edge list is rendered for a graph that holds
+        out, loaded = _numpy_and_scipy_after(
+            "from proxrem.cli import main\n"
+            "assert main(['oracle', 'bound-check', '--random', '50', '--max-n', '60', '--seed', '1729']) == 0"
+        )
+        assert json.loads(out)["bound_check"]["graphs"] == 50
+        assert loaded == []
+
     def test_bound_check_random_jobs_identical(self, capsys):
         args = ("oracle", "bound-check", "--random", "20", "--max-n", "18", "--seed", "7")
         _, out1, _ = _run(capsys, *args, "--jobs", "1")
@@ -469,6 +479,7 @@ class TestDeterminism:
             ["extremal", "--delta", "3", "--sweep", "16", "24"],
             ["oracle", "lemma-sweep", "--max-n", "6", "--max-order", "4"],
             ["oracle", "bound-check", "--trees", "5"],
+            ["oracle", "bound-check", "--trees", "7"],
             ["oracle", "bound-check", "--random", "20", "--max-n", "18", "--seed", "7"],
         ]
         timed = [["compute", str(f), "--timings"], ["verify", "--chain", str(f), "--timings"]]

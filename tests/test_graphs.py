@@ -17,7 +17,6 @@ from proxrem.graphs import (
     _distances_python,
     _distances_scipy,
     _transmissions_bigint,
-    _transmissions_bitset,
     _transmissions_scipy,
     tree_transmissions,
     weighted_transmissions,
@@ -315,8 +314,7 @@ class TestBigIntKernel:
 
 
 #: Every kernel a graph's transmissions or matrix can come from.
-KERNELS = ("_transmissions_bigint", "_transmissions_bitset", "_transmissions_scipy",
-           "_distances_python", "_distances_bitset", "_distances_scipy", "_bfs_rows")
+KERNELS = ("_transmissions_bigint", "_transmissions_scipy", "_distances_python", "_distances_bitset", "_distances_scipy", "_bfs_rows")
 
 
 def _only(monkeypatch, *allowed):
@@ -344,12 +342,13 @@ class TestDispatch:
         assert d.matrix.tolist() == [[abs(i - j) for j in range(300)] for i in range(300)]
 
     def test_small_diameter_goes_to_bitset(self, monkeypatch):
+        # the numpy MS-BFS for the matrix, big ints for the transmissions
         g = px.graph_from_edges(300, [(i, (3 * i + 1) % 300) for i in range(300)]
                                 + [(i, i // 2) for i in range(1, 300)])
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
-        assert g.n < graphs._BIGINT_MIN_ORDER
+        assert g.n >= graphs._NUMPY_MIN_ORDER
         expected = _distances_python(g.adj)
-        _only(monkeypatch, "_transmissions_bitset", "_distances_bitset")
+        _only(monkeypatch, "_transmissions_bigint", "_distances_bitset")
         d = px.all_pairs_distances(g)
         assert d.transmissions == tuple(expected.sum(axis=1).tolist())
         assert (d.matrix == expected).all()
@@ -374,13 +373,15 @@ class TestDispatch:
         "n, kernel",
         [
             (graphs._NUMPY_MIN_ORDER - 1, "_transmissions_bigint"),
-            (graphs._NUMPY_MIN_ORDER, "_transmissions_bitset"),
-            (graphs._BIGINT_MIN_ORDER - 1, "_transmissions_bitset"),
-            (graphs._BIGINT_MIN_ORDER, "_transmissions_bigint"),
-            (graphs._BIGINT_MIN_ORDER + 1, "_transmissions_bigint"),
+            (graphs._NUMPY_MIN_ORDER, "_transmissions_bigint"),
+            (499, "_transmissions_bigint"),
+            (500, "_transmissions_bigint"),
+            (501, "_transmissions_bigint"),
         ],
     )
     def test_order_boundaries(self, monkeypatch, n, kernel):
+        # below the level cap every order takes big ints, 499 and 500 too,
+        # where a numpy kernel used to hand over
         rng = random.Random(n)
         chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
         g = px.graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]
@@ -393,13 +394,13 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "n, extra_levels, kernel",
         [
-            (40, 0, "_transmissions_bitset"),
+            (40, 0, "_transmissions_bigint"),
             (40, 2, "_transmissions_scipy"),
-            (graphs._BIGINT_MIN_ORDER, 0, "_transmissions_bigint"),
-            (graphs._BIGINT_MIN_ORDER, 2, "_transmissions_scipy"),
+            (500, 0, "_transmissions_bigint"),
+            (500, 2, "_transmissions_scipy"),
             (graphs._NUMPY_MIN_ORDER - 1, 2, "_transmissions_bigint"),
         ],
-        ids=["numpy-at-cap", "numpy-above-cap", "bigint-at-cap", "bigint-above-cap", "small-order"],
+        ids=["mid-order-at-cap", "mid-order-above-cap", "bigint-at-cap", "bigint-above-cap", "small-order"],
     )
     def test_level_cap_boundary(self, monkeypatch, n, extra_levels, kernel):
         # 2·ecc(0) at the cap, or at the cap + 2
@@ -415,13 +416,13 @@ class TestDispatch:
             (graphs._NUMPY_MIN_ORDER - 1, 46, "_transmissions_bigint"),
             (40, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
             (40, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
-            (graphs._BIGINT_MIN_ORDER, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
-            (graphs._BIGINT_MIN_ORDER, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
+            (500, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
+            (500, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
         ],
         ids=["small-order", "at-cap", "above-cap", "large-at-cap", "large-above-cap"],
     )
     def test_weighted_takes_bigint_unless_long(self, monkeypatch, n, levels, kernel):
-        # F's rule has its own cap, and no numpy kernel
+        # F's rule has its own cap
         g = _broom(n, levels // 2)
         assert 2 * max(graphs._bfs(g.adj, 0)) == levels
         weights = [(7 * v) % 13 for v in range(n)]
@@ -434,7 +435,7 @@ class TestDispatch:
             weighted_transmissions(px.graph_from_edges(3, [(0, 1)]), [1, 1, 1])
 
     def test_rule_reads_order_and_row0_only(self):
-        small, large, cap = graphs._NUMPY_MIN_ORDER, graphs._BIGINT_MIN_ORDER, graphs._BITSET_MAX_LEVELS
+        small, cap = graphs._NUMPY_MIN_ORDER, graphs._BITSET_MAX_LEVELS
 
         def row0(n, ecc):
             return [0] + [min(v, ecc) for v in range(1, n)]
@@ -442,8 +443,8 @@ class TestDispatch:
         assert graphs._backend(1, [0]) == "bigint"
         assert graphs._backend(small - 1, row0(small - 1, small - 2)) == "bigint"
         assert graphs._backend(small - 1, [0] * (small - 2) + [INF]) == "bigint"
-        for n, kernel in ((small, "numpy"), (large - 1, "numpy"), (large, "bigint")):
-            assert graphs._backend(n, row0(n, cap // 2)) == kernel
+        for n in (small, 499, 500, 10_000):
+            assert graphs._backend(n, row0(n, cap // 2)) == "bigint"
             assert graphs._backend(n, row0(n, cap // 2 + 1)) == "scipy"
             assert graphs._backend(n, [0] * (n - 1) + [INF]) == "scipy"
 
@@ -463,9 +464,10 @@ class TestTransmissions:
     @given(connected_graphs(min_order=2, max_order=60))
     @settings(max_examples=60, deadline=None)
     def test_both_numpy_backends_match_floyd_warshall(self, g):
-        # whichever side of the selection rule the graph falls on
+        # whichever side of the selection rule the graph falls on: scipy's
+        # transmissions, and the numpy MS-BFS matrix's row sums
         expected = tuple(map(sum, floyd_warshall(g)))
-        assert _transmissions_bitset(g.adj) == expected
+        assert tuple(_distances_bitset(g.adj).sum(axis=1).tolist()) == expected
         assert _transmissions_scipy(g.adj) == expected
 
     @pytest.mark.parametrize("batch", [64, 128], ids=["k1", "k2"])
@@ -480,7 +482,6 @@ class TestTransmissions:
         g = px.graph_from_edges(n, [(u, v) for u, v in edges if u != v])
         expected = tuple(map(sum, floyd_warshall(g)))
         monkeypatch.setattr(graphs, "_BATCH_SOURCES", batch)
-        assert _transmissions_bitset(g.adj) == expected
         assert _transmissions_scipy(g.adj) == expected
 
     @given(
@@ -496,8 +497,7 @@ class TestTransmissions:
         lengths = nx.single_source_shortest_path_length
         expected = tuple(sum(lengths(h, v).values()) for v in range(g.n))
         assert px.all_pairs_distances(g).transmissions == expected
-        assert _transmissions_bitset(g.adj) == _transmissions_scipy(g.adj) == expected
-        assert _transmissions_bigint(g.adj) == expected
+        assert _transmissions_bigint(g.adj) == _transmissions_scipy(g.adj) == expected
 
     @pytest.mark.parametrize("n", [4, 40], ids=["python_rows", "scipy"])
     def test_disconnected_has_no_transmissions(self, n):
@@ -509,20 +509,24 @@ class TestTransmissions:
         assert d.matrix.tolist() == floyd_warshall(g)
 
     @pytest.mark.parametrize(
-        "g, backend",
-        [(px.path_graph(300), "scipy"), (px.complete_graph(40), "bitset")],
+        "g, kernels",
+        [
+            (px.path_graph(300), ("_transmissions_scipy", "_distances_scipy")),
+            (px.complete_graph(40), ("_transmissions_bigint", "_distances_bitset")),
+        ],
         ids=["scipy", "bitset"],
     )
-    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, backend):
+    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, kernels):
         computed = []
-        for view in ("_transmissions_", "_distances_"):
-            real = getattr(graphs, view + backend)
+        for name in kernels:
+            real = getattr(graphs, name)
+            view = name[:name.index("_", 1) + 1]
 
             def counting(adj, real=real, view=view):
                 computed.append(view)
                 return real(adj)
 
-            monkeypatch.setattr(graphs, view + backend, counting)
+            monkeypatch.setattr(graphs, name, counting)
         d = px.all_pairs_distances(g)
         assert computed == []
         first = d.matrix

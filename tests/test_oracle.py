@@ -1,4 +1,6 @@
 import itertools
+import json
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,8 +9,13 @@ from hypothesis import given
 
 import proxrem as px
 from proxrem import oracle
+from proxrem.cli import main
+from proxrem.construction import bound_verdicts
 from proxrem.oracle import (
+    BoundCheckReport,
+    BoundWitness,
     _compositions,
+    _prufer_transmissions,
     instance_csv_rows,
     parallel_map,
     sweep_instance_count,
@@ -181,9 +188,10 @@ class TestBoundCheck:
             assert r.all_hold()
 
     def test_jobs_do_not_change_results(self):
-        a = px.exhaustive_bound_check(5, "exhaustive-trees", jobs=1)
-        b = px.exhaustive_bound_check(5, "exhaustive-trees", jobs=3)
-        assert a.min_slack == b.min_slack
+        a = px.exhaustive_bound_check(6, "exhaustive-trees", jobs=1)
+        b = px.exhaustive_bound_check(6, "exhaustive-trees", jobs=3)
+        assert a == b
+        assert a.witness and all(w.edge_list for w in a.witness.values())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -239,3 +247,105 @@ class TestParallelMap:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
         assert parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
         assert sizes == ([] if pool is None else [pool])
+
+
+def _rebuilt_tree_check(max_n: int) -> BoundCheckReport:
+    """The tree check as a plain loop: a Graph per tree, its own
+    ``bound_report``, the path test read off its degrees, and every edge
+    list rendered."""
+    report = BoundCheckReport(mode="exhaustive-trees", params={"max_n": max_n}, graphs=0)
+    path_eq_ok = True
+    for m in range(2, max_n + 1):
+        for i, t in enumerate(px.enumerate_trees(m)):
+            label, r = f"tree-m{m}-i{i}", px.bound_report(t)
+            report.graphs += 1
+            if not r.all_hold():
+                worst = min(r.slack, key=lambda k: r.slack[k])
+                report.violations.append(BoundWitness(label, r.slack[worst], px.render_graph(t)))
+            is_path = max(len(a) for a in t.adj) <= 2
+            path_eq_ok = path_eq_ok and (r.slack["remoteness_order"] == 0) == is_path
+            for name, value in r.slack.items():
+                if name not in report.min_slack or value < report.min_slack[name]:
+                    report.min_slack[name] = value
+                    report.witness[name] = BoundWitness(label, value, px.render_graph(t))
+    report.path_equality_ok = path_eq_ok
+    return report
+
+
+class TestTreeCheckFromPrufer:
+    """The tree check reads each tree's transmissions off its Prufer decode
+    and evaluates the bounds once per exact key; these tests hold it to
+    per-tree references."""
+
+    def test_transmissions_match_every_tree_to_order_7(self):
+        for m in range(2, 8):
+            for seq in itertools.product(range(m), repeat=m - 2):
+                t = px.prufer_decode(seq, m)
+                expected = px.all_pairs_distances(t).transmissions
+                assert tuple(_prufer_transmissions(seq, m)) == expected, (m, seq)
+                assert expected == tuple(map(sum, floyd_warshall(t)))
+
+    @given(labeled_trees(max_order=9))
+    def test_transmissions_match_floyd_warshall(self, t):
+        seq = px.prufer_encode(t)
+        assert tuple(_prufer_transmissions(seq, t.n)) == tuple(map(sum, floyd_warshall(t)))
+
+    @pytest.mark.parametrize("max_n", range(2, 7))
+    def test_report_equals_per_tree_rebuild(self, max_n):
+        assert px.exhaustive_bound_check(max_n, "exhaustive-trees") == _rebuilt_tree_check(max_n)
+
+    def test_bound_report_reads_the_pure_function(self):
+        for g in (px.path_graph(9), px.star_graph(6), px.cycle_graph(8)):
+            r = px.bound_report(g)
+            trans = px.invariant_summary(g).transmissions
+            v = bound_verdicts(g.n, r.delta, r.Delta, min(trans), max(trans))
+            assert (r.case, r.proximity, r.remoteness) == (v.case, v.proximity, v.remoteness)
+            assert (r.bounds, r.slack, r.holds) == (v.bounds, v.slack, v.holds)
+
+    def _sabotage(self, monkeypatch, target):
+        """Make ``bound_verdicts`` fail ``proximity_order`` by 1 on one key."""
+        real = oracle.bound_verdicts
+        keys = []
+
+        def sabotaged(*key):
+            keys.append(key)
+            v = real(*key)
+            if key != target:
+                return v
+            slack = {**v.slack, "proximity_order": Fraction(-1)}
+            return v._replace(slack=slack, holds={name: s >= 0 for name, s in slack.items()})
+
+        monkeypatch.setattr(oracle, "bound_verdicts", sabotaged)
+        return keys
+
+    def test_violation_names_every_tree_of_the_failing_key(self, monkeypatch):
+        # K_{1,4}: order 5, degrees 1 and 4, transmissions 4 (centre) and 7
+        target = (5, 1, 4, 4, 7)
+        keys = self._sabotage(monkeypatch, target)
+        report = px.exhaustive_bound_check(5, "exhaustive-trees")
+        # once per key and shard, and order m has a shard per first symbol
+        assert all(count <= key[0] for key, count in Counter(keys).items())
+        expected = []
+        for i, seq in enumerate(itertools.product(range(5), repeat=3)):
+            t = px.prufer_decode(seq, 5)
+            trans = px.invariant_summary(t).transmissions
+            if (5, *px.degree_stats(t), min(trans), max(trans)) == target:
+                expected.append((f"tree-m5-i{i}", px.render_graph(t)))
+        assert len(expected) == 5  # one star per centre
+        assert [(w.label, w.edge_list) for w in report.violations] == expected
+        assert report.violations[0].label == "tree-m5-i0"
+        assert all(w.slack == -1 for w in report.violations)
+        assert report.min_slack["proximity_order"] == -1
+        assert report.witness["proximity_order"].label == expected[0][0]
+        assert not report.ok
+        # forked workers inherit the patch; the merge keeps the same order
+        assert px.exhaustive_bound_check(5, "exhaustive-trees", jobs=2) == report
+
+    def test_violation_exits_1(self, monkeypatch, capsys):
+        self._sabotage(monkeypatch, (4, 1, 3, 3, 5))  # K_{1,3}
+        assert main(["oracle", "bound-check", "--trees", "5"]) == 1
+        doc = json.loads(capsys.readouterr().out)["bound_check"]
+        assert doc["ok"] is False
+        labels = [v["label"] for v in doc["violations"]]
+        assert labels == [f"tree-m4-i{i}" for i in (0, 5, 10, 15)]
+        assert doc["violations"][0]["edge_list"] == px.render_graph(px.prufer_decode((0, 0), 4))
