@@ -11,7 +11,7 @@ other exception, reported as one ``internal error:`` line on stderr so
 that a crash never reads as a counterexample.  ``compute`` and ``verify``
 read G's transmissions, which come with no n×n array; ``verify --chain``
 reads the spanning tree T and the auxiliary graph F through BFS rows,
-balls and F's weighted transmissions, with no matrix either.  A
+balls and F's weighted transmissions, with no n×n array either.  A
 distance kernel imports its array libraries only when ``graphs`` selects
 it, so a small graph, or a large one of small diameter, is checked
 without them.
@@ -164,6 +164,18 @@ def _cmd_oracle_bound_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_CLAIM_FAILED
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count of at least 1.  A non-integer gets
+    argparse's own ``int`` message."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxrem",
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sharpness CSV over all valid (n, Delta) in the range")
     p.add_argument("--csv", help="write sweep CSV to a file")
     p.add_argument("--output", "-o", help="write the graph to a file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("oracle", help="brute-force verification sweeps")
@@ -203,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-order", type=int, default=7, help="largest tree order")
     q.add_argument("--csv", help="write per-(total,heavy) records to a file")
     q.add_argument("--instances", help="write the per-instance CSV to a file")
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_jobs, default=1)
     q.set_defaults(func=_cmd_oracle_lemma_sweep)
 
     q = osub.add_parser("bound-check", help="verify all bounds on trees or random graphs")
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", type=int, help="number of random connected graphs")
     q.add_argument("--max-n", type=int, default=60, help="largest random order")
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_jobs, default=1)
     q.set_defaults(func=_cmd_oracle_bound_check)
 
     return parser

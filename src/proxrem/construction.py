@@ -62,7 +62,7 @@ class ConstructionTrace:
     ``tree_summary`` holds the invariants of T, from the rerooted
     transmissions of :func:`~proxrem.graphs.tree_transmissions`.  It is
     computed once here, read by the chain certifiers, and takes no part in
-    equality or ``repr``.  Neither T nor F has a distance matrix: the
+    equality or ``repr``.  Neither T nor F has an n×n distance array: the
     pipeline and the certifiers read both through BFS rows and balls, and
     w0 comes from F's weighted transmissions,
     :func:`~proxrem.graphs.weighted_transmissions`.

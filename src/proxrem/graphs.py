@@ -10,10 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
 #: single addition cannot collide with a real hop count, small enough to
@@ -21,11 +18,11 @@ if TYPE_CHECKING:
 INF: int = 2**31 - 1
 
 #: The selection rule of :func:`_backend`, a pure function of the order n
-#: and vertex 0's BFS row.  Below ``_NUMPY_MIN_ORDER`` every graph takes the
-#: big-int kernel for its transmissions and Python BFS rows for its matrix.
-#: From there on, ``2·ecc(0)`` decides: above ``_BITSET_MAX_LEVELS`` scipy,
-#: otherwise the big-int kernel again, so that numpy and scipy are imported
-#: only for a graph of long diameter or for a matrix.
+#: and vertex 0's BFS row.  Below ``_SCIPY_MIN_ORDER`` every graph takes the
+#: big-int kernel for its transmissions.  From there on, ``2·ecc(0)``
+#: decides: above ``_BITSET_MAX_LEVELS`` scipy, otherwise the big-int kernel
+#: again, so that numpy and scipy are imported only for a graph of long
+#: diameter.
 #:
 #: Measured on 2 cores, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, best of
 #: 3, transmissions only.  Below 25 the big-int kernel beats Python rows:
@@ -43,19 +40,14 @@ INF: int = 2**31 - 1
 #: ints (best of 5), about 0.2 % of a ``certify-corpus`` pass, and at
 #: seeds 1729 and 7 they were all that made ``oracle bound-check --random
 #: 500 --max-n 60`` import numpy.
-_NUMPY_MIN_ORDER = 25
+_SCIPY_MIN_ORDER = 25
 
 #: Above this ``2·ecc(0)``, which bounds both the diameter and the level
 #: count of a multi-source BFS, a graph of order at least
-#: ``_NUMPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
-#: The cap also picks the numpy MS-BFS for ``.matrix`` and keeps its
-#: uint8 counters exact.  That kernel against scipy, as a matrix:
-#: crossover diameters about 15 on the dense sequential sums of the
-#: ``extremal`` family at n ≤ 120, 27 on a 4×25 grid; the 1,128 of those sums of order 16–120
-#: above the cap would take 2.80 s on the kernel against 1.63 s.  Big-int
-#: transmissions against scipy on grids of order 500, by 2·ecc(0): 86,
-#: 16.6 against 32.5 ms; 136, 14.8 against 11.2 ms; 254, 25.1 against
-#: 9.3 ms; on a 4×500 grid (1004) 681 against 182 ms.
+#: ``_SCIPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
+#: Big-int transmissions against scipy on grids of order 500, by
+#: 2·ecc(0): 86, 16.6 against 32.5 ms; 136, 14.8 against 11.2 ms; 254,
+#: 25.1 against 9.3 ms; on a 4×500 grid (1004) 681 against 182 ms.
 _BITSET_MAX_LEVELS = 32
 
 #: Above this ``2·ecc(0)``, :func:`weighted_transmissions` takes scipy
@@ -78,11 +70,11 @@ _BATCH_SOURCES = 64 * 1
 #: n×n array of G, T or F; by ``tracemalloc`` at n = 10⁴ it peaks at
 #: 0.11·n² bytes on a path or a cycle (scipy, in batches) and 0.42·n² on
 #: a sparse graph (the big-int kernel's ints), against 1.81·n² and 0.46·n²
-#: while F had a matrix.  The cap stays because G's exact transmissions take
-#: Θ(n·m) time: at n = 10⁴, ``bound_report`` with chains takes 3.5 s on a
-#: path or a cycle and 1.5 s on a sparse graph (m = 2n).  A larger
-#: document is refused before :func:`graph_from_edges` allocates its n
-#: adjacency sets.
+#: while F had an n×n array.  The cap stays because G's exact
+#: transmissions take Θ(n·m) time: at n = 10⁴, ``bound_report`` with
+#: chains takes 3.5 s on a path or a cycle and 1.5 s on a sparse graph
+#: (m = 2n).  A larger document is refused before
+#: :func:`graph_from_edges` allocates its n adjacency sets.
 MAX_ORDER = 10_000
 
 
@@ -124,34 +116,23 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceOracle:
-    """Hop distances of one graph; each view is computed on first read and
-    cached, so a caller pays only for what it reads.
+    """Hop distances of one graph, with no n×n array.
 
-    ``transmissions`` are every vertex's distance sum, exact and computed
-    with no n×n array, or ``None`` when the graph is disconnected.
-    ``matrix`` holds all pairs, a numpy int64 array, with ``INF`` marking
-    unreachable pairs; only it and the scipy backend import numpy.
+    ``transmissions`` are every vertex's distance sum, exact, or ``None``
+    when the graph is disconnected; they are computed on first read and
+    cached.  ``row(v)`` is one BFS row from v, ``INF`` where unreachable.
     """
 
     connected: bool
+    _adj: Sequence[Sequence[int]] = field(repr=False)
     _sum_rows: Callable[[], tuple[int, ...]] = field(repr=False)
-    _build_matrix: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
     def transmissions(self) -> tuple[int, ...] | None:
         return self._sum_rows() if self.connected else None
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        mat = self._build_matrix()
-        mat.setflags(write=False)
-        return mat
-
-    def d(self, u: int, v: int) -> int:
-        return int(self.matrix[u, v])
-
-    def row(self, v: int) -> np.ndarray:
-        return self.matrix[v]
+    def row(self, v: int) -> list[int]:
+        return _bfs(self._adj, v)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -258,8 +239,7 @@ def _ball(
     d(s, x) = d(s, w) + d(w, x) ≥ f(w) + d(w, x) ≥ f(x).
 
     The one hand-rolled BFS in the package; every other distance comes
-    from here, from a bit-parallel kernel (big ints or numpy) or from the
-    scipy backend.
+    from here, from the big-int multi-source BFS or from the scipy backend.
     """
     if dist is None:
         dist = [INF] * len(adj)
@@ -290,12 +270,6 @@ def _bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return [_ball(adj, s, INF)[0] for s in range(len(adj))]
 
 
-def _distances_python(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    import numpy as np
-
-    return np.array(_bfs_rows(adj), dtype=np.int64)
-
-
 def _bit_slices(weights: Sequence[int]) -> list[tuple[int, int]]:
     """``(j, M_j)`` for every bit j set in some weight, M_j holding bit v
     when bit j of ``weights[v]`` is set; weights are nonnegative ints."""
@@ -312,7 +286,7 @@ def _transmissions_bigint(
 ) -> tuple[int, ...]:
     """Transmissions, or weighted transmissions σ_w(v) = Σ_u w_u·d(u, v),
     from a multi-source BFS from every vertex at once with Python ints as
-    bitsets (the kernel of :func:`_distances_bitset`, without numpy).
+    bitsets.
 
     Bit s of ``unseen[v]`` is set while source s has not reached v.  A
     level ORs the frontier ints of v's neighbours and keeps the unseen
@@ -370,72 +344,6 @@ def _transmissions_bigint(
     return tuple(sums)
 
 
-def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the adjacency lists, int64."""
-    import numpy as np
-
-    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adj], out=indptr[1:])
-    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
-
-
-def _distances_bitset(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    """All pairs from a multi-source BFS from every vertex at once, 64
-    sources per word, as a matrix.
-
-    Bit s of ``unseen[v]`` is set while source s has not reached v.  Each
-    level ORs the frontier rows of v's neighbours and keeps the unseen
-    bits; every level at which a cell is still unseen adds 1 to it, so the
-    cell ends as the hop distance.  The uint8 counter holds any diameter up
-    to 255; the dispatcher sends only diameters up to ``_BITSET_MAX_LEVELS``
-    here.  ``reduceat`` misreads empty segments, so every vertex needs a
-    neighbour: a connected graph of order at least 2.
-    """
-    import numpy as np
-
-    n = len(adj)
-    indptr, indices = _csr(adj)
-    src = np.arange(n)
-    # little-endian words, so that unpackbits(bitorder="little") of a row
-    # lists the sources in order on any host
-    frontier = np.zeros((n, -(-n // 64)), dtype="<u8")
-    frontier[src, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
-    unseen = ~frontier
-    acc = np.zeros((n, 64 * frontier.shape[1]), dtype=np.uint8)
-    while True:
-        nxt = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
-        nxt &= unseen
-        if not nxt.any():
-            return acc[:, :n].astype(np.int64)
-        acc += np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
-        unseen ^= nxt
-        frontier = nxt
-
-
-def _dijkstra(adj: Sequence[Sequence[int]]) -> Callable[..., np.ndarray]:
-    """scipy's unweighted Dijkstra on ``adj``, to be called with or without
-    ``indices``; float64 rows, ``inf`` where unreachable."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    n = len(adj)
-    indptr, indices = _csr(adj)
-    data = np.ones(len(indices), dtype=np.int8)
-    csr = csr_matrix((data, indices, indptr), shape=(n, n))
-    # adjacency is symmetric, so directed traversal is equivalent and cheaper
-    return partial(dijkstra, csr, directed=True, unweighted=True)
-
-
-def _distances_scipy(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    import numpy as np
-
-    dist = _dijkstra(adj)()
-    dist[np.isinf(dist)] = INF
-    return dist.astype(np.int64)
-
-
 def _transmissions_scipy(
     adj: Sequence[Sequence[int]], weights: Sequence[int] | None = None
 ) -> tuple[int, ...]:
@@ -443,10 +351,17 @@ def _transmissions_scipy(
     scipy, ``_BATCH_SOURCES`` source rows at a time; each row holds small
     whole numbers, summed in int64."""
     import numpy as np
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
 
     n = len(adj)
     batch = _BATCH_SOURCES
-    run = _dijkstra(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adj], out=indptr[1:])
+    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64, count=int(indptr[-1]))
+    csr = csr_array((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    # adjacency is symmetric, so directed traversal is equivalent and cheaper
+    run = partial(dijkstra, csr, directed=True, unweighted=True)
     w = None if weights is None else np.array(weights, dtype=np.int64)
     trans = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, batch):
@@ -461,32 +376,23 @@ def _backend(n: int, row0: Sequence[int]) -> str:
     graph of order ``n`` whose vertex 0 has BFS row ``row0``.  Twice the
     eccentricity of vertex 0 bounds the diameter, and is ``INF``-sized when
     the graph is disconnected."""
-    if n < _NUMPY_MIN_ORDER or 2 * max(row0) <= _BITSET_MAX_LEVELS:
+    if n < _SCIPY_MIN_ORDER or 2 * max(row0) <= _BITSET_MAX_LEVELS:
         return "bigint"
     return "scipy"
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
     """G's hop distances: its connectivity now, from vertex 0's BFS row, and
-    its transmissions and its all-pairs matrix on first read.
+    its transmissions on first read.
 
     :func:`_backend` picks the transmissions' kernel from the order and that
-    row.  The matrix comes from Python BFS rows below order
-    ``_NUMPY_MIN_ORDER``, from the numpy MS-BFS when twice the eccentricity
-    of vertex 0 is at most ``_BITSET_MAX_LEVELS``, and from scipy otherwise,
-    disconnected graphs included.  Every kernel gives identical
-    transmissions and matrices (unit tests cross-check them).
+    row; both kernels give identical transmissions (unit tests cross-check
+    them).
     """
     adj = g.adj
     row0 = _bfs(adj, 0)
     trans = _transmissions_bigint if _backend(g.n, row0) == "bigint" else _transmissions_scipy
-    if g.n < _NUMPY_MIN_ORDER:
-        matrix = _distances_python
-    elif 2 * max(row0) <= _BITSET_MAX_LEVELS:
-        matrix = _distances_bitset
-    else:
-        matrix = _distances_scipy
-    return DistanceOracle(INF not in row0, lambda: trans(adj), lambda: matrix(adj))
+    return DistanceOracle(INF not in row0, adj, lambda: trans(adj))
 
 
 def weighted_transmissions(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
@@ -507,7 +413,7 @@ def weighted_transmissions(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
 
 def tree_transmissions(t: Graph, root: int) -> tuple[list[int], list[int]]:
     """Parents and transmissions of a tree rooted at ``root``, from one BFS
-    and no distance matrix.
+    and no n×n array.
 
     v's parent is its one neighbour a step closer to the root (-1 at the
     root).  Subtree sizes are summed deepest first; then σ(root) is the

@@ -24,7 +24,7 @@ from math import comb, log
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .construction import BoundVerdicts, bound_report, bound_verdicts
-from .graphs import Graph, _distances_python, graph_from_edges, is_connected, render_graph
+from .graphs import MAX_ORDER, Graph, _bfs_rows, graph_from_edges, is_connected, render_graph
 from .weighted import any_vertex_bound, median_bound
 
 if TYPE_CHECKING:
@@ -248,7 +248,8 @@ def _order_sigmas(
     med = np.empty((len(seqs), len(vectors)), dtype=np.int64)
     top = np.empty_like(med)
     for ti, seq in enumerate(seqs):
-        sigma = weights @ _distances_python(_decode_adj(seq, m))  # sigma[j, x]: vertex x
+        rows = np.array(_bfs_rows(_decode_adj(seq, m)), dtype=np.int64)
+        sigma = weights @ rows  # sigma[j, x]: vertex x
         med[ti] = sigma.min(axis=1)
         top[ti] = sigma.max(axis=1)
     return seqs, weights, med, top
@@ -549,8 +550,8 @@ def exhaustive_bound_check(
     elif sampler == "random":
         if samples < 1:
             raise ValueError("random mode needs samples >= 1")
-        if max_n < 2:
-            raise ValueError(f"random mode needs --max-n >= 2, got {max_n}")
+        if not 2 <= max_n <= MAX_ORDER:
+            raise ValueError(f"random mode needs 2 <= --max-n <= {MAX_ORDER}, got {max_n}")
         graphs = sample_corpus(seed, samples, max_n)
         items = list(enumerate(graphs))
         shard_fn = _random_shard

@@ -98,7 +98,7 @@ def weighted_distance(
     total = Fraction(0)
     for w in c.support():
         if w != v:
-            total += c[w] * int(row[w])
+            total += c[w] * row[w]
     return total
 
 

@@ -30,15 +30,15 @@ def p5_file(tmp_path):
 
 @pytest.fixture
 def no_apsp(monkeypatch):
-    """Fail if any all-pairs work is done: a transmission or matrix kernel
-    runs.  Vertex 0's BFS row, the oracle's connectivity, is allowed."""
+    """Fail if any all-pairs work is done: a transmission kernel runs, or
+    BFS rows from every vertex.  Vertex 0's BFS row, the oracle's
+    connectivity, is allowed."""
     from proxrem import graphs
 
     def forbidden(*_):
         raise AssertionError("all-pairs distances computed")
 
-    for name in ("_transmissions_bigint", "_transmissions_scipy",
-                 "_distances_python", "_distances_bitset", "_distances_scipy"):
+    for name in ("_transmissions_bigint", "_transmissions_scipy", "_bfs_rows"):
         monkeypatch.setattr(graphs, name, forbidden)
 
 
@@ -275,6 +275,30 @@ class TestOracle:
         )
         assert json.loads(out)["bound_check"]["graphs"] == 50
         assert loaded == []
+
+    def test_random_max_n_above_max_order_exits_2_at_once(self):
+        # the check comes before the sampler's O(n²) edge loop
+        env = {**os.environ, "PYTHONPATH": str(Path(px.__file__).parents[1])}
+        argv = ["oracle", "bound-check", "--random", "1", "--max-n", str(MAX_ORDER + 1), "--seed", "3"]
+        proc = subprocess.run([sys.executable, "-m", "proxrem.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and "--max-n" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extremal", "--delta", "3", "--sweep", "16", "20"],
+            ["oracle", "lemma-sweep", "--max-n", "5", "--max-order", "3"],
+            ["oracle", "bound-check", "--trees", "4"],
+        ],
+        ids=["extremal", "lemma-sweep", "bound-check"],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_1_exits_2(self, capsys, argv, jobs):
+        code, out, err = _run(capsys, *argv, "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert f"argument --jobs: must be at least 1, got {jobs}" in err
 
     def test_bound_check_random_jobs_identical(self, capsys):
         args = ("oracle", "bound-check", "--random", "20", "--max-n", "18", "--seed", "7")

@@ -39,11 +39,11 @@ def _verify_trace_invariants(g, trace):
     for i in range(1, len(trace.anchors)):
         assert set_distance(g, trace.anchors[i], trace.anchors[:i]) == 3
     # contraction invariants
-    d_t = px.all_pairs_distances(t)
+    fw_t = floyd_warshall(t)
     for v in range(n):
         b = trace.nearest_anchor[v]
         assert b in trace.anchors
-        assert d_t.d(v, b) <= 2
+        assert fw_t[v][b] <= 2
         if v in trace.anchors:
             assert b == v
     assert sum(trace.weights.values()) == n
@@ -54,7 +54,7 @@ def _verify_trace_invariants(g, trace):
     assert px.is_connected(trace.aux)
     for i in range(len(trace.anchors)):
         for j in range(i + 1, len(trace.anchors)):
-            expected = d_t.d(trace.anchors[i], trace.anchors[j]) <= 3
+            expected = fw_t[trace.anchors[i]][trace.anchors[j]] <= 3
             assert trace.aux.has_edge(i, j) == expected
     # q makes (n + q) - (Delta + 1) divisible by delta + 1
     assert 0 <= trace.q <= delta
@@ -324,7 +324,7 @@ class TestMemory:
         ids=["bitset", "scipy"],
     )
     def test_chains_peak_below_2_n_squared_bytes(self, make, bitset):
-        # G's transmissions come in batches and its matrix is never built,
+        # G's transmissions come in batches and no n×n array is built,
         # so nothing of order n² is left; the warm-up keeps the one-time
         # scipy import out of the measurement
         px.bound_report(_grid(3, 30), include_chains=True)
@@ -545,11 +545,16 @@ class TestDistanceReuse:
             oracles.append(px.all_pairs_distances(h))
             return oracles[-1]
 
+        def forbidden(*_):
+            raise AssertionError("BFS rows from every vertex of G")
+
         monkeypatch.setattr(construction, "all_pairs_distances", recording)
+        monkeypatch.setattr(graphs, "_bfs_rows", forbidden)
         assert g.n >= 25
         assert px.bound_report(g, include_chains=True).all_hold()
         assert len(oracles) == 1  # G; F has weighted transmissions only
-        assert "matrix" not in vars(oracles[0])  # the cached matrix of G
+        # G's oracle caches its transmissions and nothing else
+        assert set(vars(oracles[0])) == {"connected", "_adj", "_sum_rows", "transmissions"}
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)

@@ -44,9 +44,8 @@ class TestSequentialSum:
 
     def test_block_distance_structure(self):
         g = px.sequential_sum(SequentialSumSpec((2, 1, 3)))
-        d = px.all_pairs_distances(g)
         # vertices in non-adjacent blocks are exactly block-index apart
-        assert d.d(0, 3) == 2
+        assert floyd_warshall(g)[0][3] == 2
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -182,11 +181,11 @@ class TestExtremalFamily:
         p = ExtremalParams(n, delta, Delta)
         g = px.extremal_graph(p)
         layers = layer_assignment(p)
-        d = px.all_pairs_distances(g)
+        fw = floyd_warshall(g)
         for x in range(n):
             for y in range(n):
                 gap = abs(layers[x] - layers[y])
-                assert d.d(x, y) >= 3 * gap - 2
+                assert fw[x][y] >= 3 * gap - 2
 
 
 class TestSharpness:

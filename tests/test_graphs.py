@@ -2,7 +2,6 @@ import ast
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +12,6 @@ from proxrem.graphs import (
     INF,
     MAX_ORDER,
     ParseError,
-    _distances_bitset,
-    _distances_python,
-    _distances_scipy,
     _transmissions_bigint,
     _transmissions_scipy,
     tree_transmissions,
@@ -147,20 +143,24 @@ class TestBasics:
             set_distance(px.path_graph(3), 0, set())
 
 
+def _rows(d, n):
+    return [d.row(v) for v in range(n)]
+
+
 class TestDistances:
     def test_known_values(self):
         c4 = px.all_pairs_distances(px.cycle_graph(4))
-        assert c4.d(0, 2) == 2
+        assert c4.row(0)[2] == 2
         p6 = px.all_pairs_distances(px.path_graph(6))
-        assert p6.d(0, 5) == 5
+        assert p6.row(0)[5] == 5
         k4 = px.all_pairs_distances(px.complete_graph(4))
-        assert all(k4.d(i, j) == 1 for i in range(4) for j in range(4) if i != j)
+        assert all(k4.row(i)[j] == 1 for i in range(4) for j in range(4) if i != j)
 
     def test_disconnected_marked_inf(self):
         g = px.graph_from_edges(4, [(0, 1), (2, 3)])
         d = px.all_pairs_distances(g)
-        assert d.d(0, 2) == INF
-        assert d.matrix.tolist() == [
+        assert d.row(0)[2] == INF
+        assert _rows(d, 4) == [
             [0, 1, INF, INF], [1, 0, INF, INF], [INF, INF, 0, 1], [INF, INF, 1, 0]
         ]
 
@@ -169,36 +169,25 @@ class TestDistances:
     def test_matches_floyd_warshall(self, g):
         d = px.all_pairs_distances(g)
         fw = floyd_warshall(g)
-        assert d.matrix.tolist() == fw
+        assert _rows(d, g.n) == fw
 
-    @given(connected_graphs())
+    @given(st.one_of(arbitrary_graphs(), connected_graphs()))
     @settings(max_examples=60)
     def test_oracle_invariants(self, g):
-        d = px.all_pairs_distances(g)
-        m = d.matrix
-        assert (np.diag(m) == 0).all()
-        assert (m == m.T).all()
+        m = _rows(px.all_pairs_distances(g), g.n)
         for u in range(g.n):
+            assert m[u][u] == 0
             for v in range(g.n):
-                assert (m[u, v] == 1) == (u != v and g.has_edge(u, v))
-        # triangle inequality through every midpoint
-        for w in range(g.n):
-            assert (m <= m[:, w : w + 1] + m[w : w + 1, :]).all()
-
-    @given(st.one_of(arbitrary_graphs(max_order=60), connected_graphs(max_order=60)))
-    @settings(max_examples=30, deadline=None)
-    def test_backends_identical(self, g):
-        expected = _distances_python(g.adj)
-        assert (_distances_scipy(g.adj) == expected).all()
-        # the bit-parallel kernel takes connected graphs of order >= 2 only
-        if g.n >= 2 and px.is_connected(g):
-            assert (_distances_bitset(g.adj) == expected).all()
+                assert m[u][v] == m[v][u]
+                assert (m[u][v] == 1) == (u != v and g.has_edge(u, v))
+                # triangle inequality through every midpoint
+                assert all(m[u][v] <= m[u][w] + m[w][v] for w in range(g.n))
 
     def test_repeated_runs_identical(self):
         g = px.cycle_graph(50)
-        a = px.all_pairs_distances(g).matrix
-        b = px.all_pairs_distances(g).matrix
-        assert (a == b).all()
+        a, b = px.all_pairs_distances(g), px.all_pairs_distances(g)
+        assert _rows(a, 50) == _rows(b, 50)
+        assert a.transmissions == b.transmissions
 
 
 WORD_BOUNDARY_ORDERS = [63, 64, 65, 127, 128, 129]
@@ -211,41 +200,6 @@ def _raise(*_):
 @pytest.fixture(scope="module")
 def nx():
     return pytest.importorskip("networkx")
-
-
-class TestBitsetKernel:
-    @given(connected_graphs(max_order=40))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_floyd_warshall(self, g):
-        d = _distances_bitset(g.adj)
-        assert d.dtype == np.int64
-        assert d.tolist() == floyd_warshall(g)
-
-    @pytest.mark.parametrize("n", WORD_BOUNDARY_ORDERS)
-    @given(data=st.data())
-    @settings(max_examples=2, deadline=None)
-    def test_word_boundaries_match_floyd_warshall(self, n, data):
-        g = data.draw(connected_graphs(min_order=n, max_order=n))
-        assert _distances_bitset(g.adj).tolist() == floyd_warshall(g)
-
-    @given(
-        st.one_of(
-            connected_graphs(max_order=60),
-            st.sampled_from(WORD_BOUNDARY_ORDERS).flatmap(lambda n: connected_graphs(n, n)),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_networkx(self, nx, g):
-        h = nx.Graph(list(g.edges()))
-        h.add_nodes_from(range(g.n))
-        lengths = dict(nx.all_pairs_shortest_path_length(h))
-        expected = [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
-        assert _distances_bitset(g.adj).tolist() == expected
-
-    def test_long_diameter_still_exact(self):
-        # beyond the dispatcher's level cap the kernel stays exact
-        p = px.path_graph(129)
-        assert _distances_bitset(p.adj).tolist() == [[abs(i - j) for j in range(129)] for i in range(129)]
 
 
 @st.composite
@@ -313,8 +267,9 @@ class TestBigIntKernel:
         assert weighted_transmissions(g, weights) == expected
 
 
-#: Every kernel a graph's transmissions or matrix can come from.
-KERNELS = ("_transmissions_bigint", "_transmissions_scipy", "_distances_python", "_distances_bitset", "_distances_scipy", "_bfs_rows")
+#: Every kernel a graph's transmissions can come from, and the BFS rows from
+#: every vertex.
+KERNELS = ("_transmissions_bigint", "_transmissions_scipy", "_bfs_rows")
 
 
 def _only(monkeypatch, *allowed):
@@ -336,44 +291,42 @@ class TestDispatch:
     runs, every other kernel fails if called, and the result is exact."""
 
     def test_long_path_goes_to_scipy(self, monkeypatch):
-        _only(monkeypatch, "_transmissions_scipy", "_distances_scipy")
+        _only(monkeypatch, "_transmissions_scipy")
         d = px.all_pairs_distances(px.path_graph(300))
         assert d.transmissions == tuple(sum(abs(i - j) for j in range(300)) for i in range(300))
-        assert d.matrix.tolist() == [[abs(i - j) for j in range(300)] for i in range(300)]
 
     def test_small_diameter_goes_to_bitset(self, monkeypatch):
-        # the numpy MS-BFS for the matrix, big ints for the transmissions
+        # the big-int kernel, Python ints as bitsets
         g = px.graph_from_edges(300, [(i, (3 * i + 1) % 300) for i in range(300)]
                                 + [(i, i // 2) for i in range(1, 300)])
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
-        assert g.n >= graphs._NUMPY_MIN_ORDER
-        expected = _distances_python(g.adj)
-        _only(monkeypatch, "_transmissions_bigint", "_distances_bitset")
-        d = px.all_pairs_distances(g)
-        assert d.transmissions == tuple(expected.sum(axis=1).tolist())
-        assert (d.matrix == expected).all()
+        assert g.n >= graphs._SCIPY_MIN_ORDER
+        expected = tuple(map(sum, graphs._bfs_rows(g.adj)))
+        _only(monkeypatch, "_transmissions_bigint")
+        assert px.all_pairs_distances(g).transmissions == expected
 
     def test_small_order_takes_bigint_and_python_rows(self, monkeypatch):
-        g = px.cycle_graph(graphs._NUMPY_MIN_ORDER - 1)
+        # a row is one BFS, never the rows from every vertex
+        g = px.cycle_graph(graphs._SCIPY_MIN_ORDER - 1)
         expected = floyd_warshall(g)
-        _only(monkeypatch, "_transmissions_bigint", "_distances_python", "_bfs_rows")
+        _only(monkeypatch, "_transmissions_bigint")
         d = px.all_pairs_distances(g)
         assert d.transmissions == tuple(map(sum, expected))
-        assert d.matrix.tolist() == expected
+        assert _rows(d, g.n) == expected
 
     def test_disconnected_keeps_inf_cells(self, monkeypatch):
         g = px.graph_from_edges(40, [(i, i + 1) for i in range(19)] + [(i, i + 1) for i in range(20, 39)])
-        _only(monkeypatch, "_distances_scipy")
+        _only(monkeypatch)
         d = px.all_pairs_distances(g)
         assert not d.connected and d.transmissions is None
-        assert d.matrix.tolist() == floyd_warshall(g)
-        assert d.d(0, 39) == INF and d.d(20, 39) == 19
+        assert _rows(d, g.n) == floyd_warshall(g)
+        assert d.row(0)[39] == INF and d.row(20)[39] == 19
 
     @pytest.mark.parametrize(
         "n, kernel",
         [
-            (graphs._NUMPY_MIN_ORDER - 1, "_transmissions_bigint"),
-            (graphs._NUMPY_MIN_ORDER, "_transmissions_bigint"),
+            (graphs._SCIPY_MIN_ORDER - 1, "_transmissions_bigint"),
+            (graphs._SCIPY_MIN_ORDER, "_transmissions_bigint"),
             (499, "_transmissions_bigint"),
             (500, "_transmissions_bigint"),
             (501, "_transmissions_bigint"),
@@ -398,7 +351,7 @@ class TestDispatch:
             (40, 2, "_transmissions_scipy"),
             (500, 0, "_transmissions_bigint"),
             (500, 2, "_transmissions_scipy"),
-            (graphs._NUMPY_MIN_ORDER - 1, 2, "_transmissions_bigint"),
+            (graphs._SCIPY_MIN_ORDER - 1, 2, "_transmissions_bigint"),
         ],
         ids=["mid-order-at-cap", "mid-order-above-cap", "bigint-at-cap", "bigint-above-cap", "small-order"],
     )
@@ -413,7 +366,7 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "n, levels, kernel",
         [
-            (graphs._NUMPY_MIN_ORDER - 1, 46, "_transmissions_bigint"),
+            (graphs._SCIPY_MIN_ORDER - 1, 46, "_transmissions_bigint"),
             (40, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
             (40, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
             (500, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
@@ -435,7 +388,7 @@ class TestDispatch:
             weighted_transmissions(px.graph_from_edges(3, [(0, 1)]), [1, 1, 1])
 
     def test_rule_reads_order_and_row0_only(self):
-        small, cap = graphs._NUMPY_MIN_ORDER, graphs._BITSET_MAX_LEVELS
+        small, cap = graphs._SCIPY_MIN_ORDER, graphs._BITSET_MAX_LEVELS
 
         def row0(n, ecc):
             return [0] + [min(v, ecc) for v in range(1, n)]
@@ -463,11 +416,10 @@ class TestTransmissions:
 
     @given(connected_graphs(min_order=2, max_order=60))
     @settings(max_examples=60, deadline=None)
-    def test_both_numpy_backends_match_floyd_warshall(self, g):
-        # whichever side of the selection rule the graph falls on: scipy's
-        # transmissions, and the numpy MS-BFS matrix's row sums
+    def test_both_backends_match_floyd_warshall(self, g):
+        # whichever side of the selection rule the graph falls on
         expected = tuple(map(sum, floyd_warshall(g)))
-        assert tuple(_distances_bitset(g.adj).sum(axis=1).tolist()) == expected
+        assert _transmissions_bigint(g.adj) == expected
         assert _transmissions_scipy(g.adj) == expected
 
     @pytest.mark.parametrize("batch", [64, 128], ids=["k1", "k2"])
@@ -506,35 +458,28 @@ class TestTransmissions:
                                 + [(i, i + 1) for i in range(half, n - 1)])
         d = px.all_pairs_distances(g)
         assert not d.connected and d.transmissions is None
-        assert d.matrix.tolist() == floyd_warshall(g)
+        assert _rows(d, n) == floyd_warshall(g)
 
     @pytest.mark.parametrize(
-        "g, kernels",
-        [
-            (px.path_graph(300), ("_transmissions_scipy", "_distances_scipy")),
-            (px.complete_graph(40), ("_transmissions_bigint", "_distances_bitset")),
-        ],
+        "g, kernel",
+        [(px.path_graph(300), "_transmissions_scipy"), (px.complete_graph(40), "_transmissions_bigint")],
         ids=["scipy", "bitset"],
     )
-    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, kernels):
+    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, kernel):
         computed = []
-        for name in kernels:
-            real = getattr(graphs, name)
-            view = name[:name.index("_", 1) + 1]
+        real = getattr(graphs, kernel)
 
-            def counting(adj, real=real, view=view):
-                computed.append(view)
-                return real(adj)
+        def counting(adj):
+            computed.append(kernel)
+            return real(adj)
 
-            monkeypatch.setattr(graphs, name, counting)
+        monkeypatch.setattr(graphs, kernel, counting)
         d = px.all_pairs_distances(g)
         assert computed == []
-        first = d.matrix
-        assert d.matrix is first and d.d(0, 1) == 1
-        assert not first.flags.writeable
-        assert computed == ["_distances_"]
+        assert d.row(0)[1] == 1
+        assert computed == []
         assert d.transmissions is d.transmissions
-        assert computed == ["_distances_", "_transmissions_"]
+        assert computed == [kernel]
 
 
 class TestBall:
@@ -600,6 +545,6 @@ class TestTreeDistances:
     def test_deep_and_shallow_trees_match_bfs(self, t):
         root = t.n // 2
         parent, trans = tree_transmissions(t, root)
-        assert trans == _distances_python(t.adj).sum(axis=1).tolist()
+        assert trans == [sum(row) for row in graphs._bfs_rows(t.adj)]
         depth = graphs._bfs(t.adj, root)
         assert all(depth[parent[v]] == depth[v] - 1 for v in range(t.n) if v != root)
