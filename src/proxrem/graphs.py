@@ -264,12 +264,6 @@ def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int]:
     return _ball(adj, s, INF)[0]
 
 
-def _bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    # the kernel itself, not _bfs: a wrapper call per row is a tenth of a
-    # row's cost on the order-7 trees of the oracle sweeps
-    return [_ball(adj, s, INF)[0] for s in range(len(adj))]
-
-
 def _bit_slices(weights: Sequence[int]) -> list[tuple[int, int]]:
     """``(j, M_j)`` for every bit j set in some weight, M_j holding bit v
     when bit j of ``weights[v]`` is set; weights are nonnegative ints."""

@@ -6,9 +6,9 @@ small integer-weighted tree, exhaustive/randomized verification of all
 proximity and remoteness bounds, and the seeded random-connected-graph
 sampler used by every randomized corpus.
 
-The exhaustive tree check builds no Graph per tree.  Each tree's
-transmissions come from the leaf order of its Prufer decode, and the six
-bounds are evaluated once per exact key (order, degree extremes,
+Neither sweep builds a Graph per tree: (weighted) transmissions come
+from one rerooting pass, :func:`_tree_sigmas`.  The exhaustive tree check
+evaluates the six bounds once per exact key (order, degree extremes,
 transmission extremes), which every tree with that key then reads.
 """
 
@@ -21,14 +21,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .construction import BoundVerdicts, bound_report, bound_verdicts
-from .graphs import MAX_ORDER, Graph, _bfs_rows, graph_from_edges, is_connected, render_graph
+from .graphs import Graph, graph_from_edges, is_connected, render_graph
 from .weighted import any_vertex_bound, median_bound
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Default seed for every randomized corpus (overridable via --seed).
 DEFAULT_SEED = 1729
@@ -80,34 +77,36 @@ def _decode_edges(seq: Sequence[int], m: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _tree_sigmas(edges: Sequence[tuple[int, int]], m: int, w: Sequence[int]) -> list[int]:
+    """σ_w(v) = Σ_u w_u·d(u, v) on a tree of order ``m``, from its (child,
+    parent) edges in leaf-first post-order, the last parent being the root.
+
+    Subtree weights accumulate along the edges; σ_w(root) is the sum of
+    those of the non-root vertices, and in reverse order each child has
+    σ_w(c) = σ_w(p) + W − 2·w(subtree(c)), W the total.
+    """
+    if not edges:
+        return [0] * m
+    sub = list(w)
+    for child, up in edges:
+        sub[up] += sub[child]
+    root = edges[-1][1]
+    total = sub[root]
+    sigma = [0] * m
+    sigma[root] = sum(sub) - total
+    for child, up in reversed(edges):
+        sigma[child] = sigma[up] + total - 2 * sub[child]
+    return sigma
+
+
 def _prufer_transmissions(seq: Sequence[int], m: int) -> list[int]:
     """Transmissions of the decoded tree of order ``m`` >= 2, from the
     decode alone: no Graph and no BFS.
 
     :func:`_decode_edges` lists each edge as (leaf, neighbour) in
-    leaf-removal order, which is a post-order toward the last vertex left,
-    the root.  Subtree sizes accumulate along it; σ(root) is the sum of
-    the depths, Σ size(v) − m, and in reverse order each leaf has
-    σ(leaf) = σ(parent) + m − 2·size(leaf).
+    leaf-removal order, a post-order toward the last vertex left.
     """
-    edges = _decode_edges(seq, m)
-    size = [1] * m
-    for leaf, up in edges:
-        size[up] += size[leaf]
-    sigma = [0] * m
-    sigma[edges[-1][1]] = sum(size) - m
-    for leaf, up in reversed(edges):
-        sigma[leaf] = sigma[up] + m - 2 * size[leaf]
-    return sigma
-
-
-def _decode_adj(seq: Sequence[int], m: int) -> list[list[int]]:
-    """Adjacency lists of the decoded tree, without building a Graph."""
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for u, v in _decode_edges(seq, m):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+    return _tree_sigmas(_decode_edges(seq, m), m, [1] * m)
 
 
 def prufer_decode(seq: Sequence[int], m: int) -> Graph:
@@ -229,74 +228,66 @@ def sweep_instance_count(max_total: int, max_order: int) -> tuple[int, int, int]
     return trees, weightings, instances
 
 
-def _order_sigmas(
-    m: int, max_total: int
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
-    """Every labeled tree of order ``m`` against every weight vector.
-
-    Returns the Prufer sequences (product order), the weight vectors
-    (rows ordered by total, then composition), and the minimum and the
-    maximum weighted distance, ``med[ti, j]`` and ``top[ti, j]``, of tree
-    ``ti`` under vector ``j``.  The sweep and the instance CSV both read
-    these matrices; nothing else enumerates trees x weight vectors.
-    """
-    import numpy as np
-
-    vectors = [w for total in range(m, max_total + 1) for w in _compositions(total, m)]
-    weights = np.array(vectors, dtype=np.int64)  # (V, m)
-    seqs = list(itertools.product(range(m), repeat=max(0, m - 2)))
-    med = np.empty((len(seqs), len(vectors)), dtype=np.int64)
-    top = np.empty_like(med)
-    for ti, seq in enumerate(seqs):
-        rows = np.array(_bfs_rows(_decode_adj(seq, m)), dtype=np.int64)
-        sigma = weights @ rows  # sigma[j, x]: vertex x
-        med[ti] = sigma.min(axis=1)
-        top[ti] = sigma.max(axis=1)
-    return seqs, weights, med, top
+def _first_attaining(
+    m: int, vectors: list[tuple[int, ...]], pick: Callable[[list[int]], int], value: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first labelled tree of order ``m`` (Prufer product order), and
+    then the first of ``vectors``, under which ``pick`` of σ_w is ``value``."""
+    for seq in itertools.product(range(m), repeat=max(0, m - 2)):
+        edges = _decode_edges(seq, m)
+        for w in vectors:
+            if pick(_tree_sigmas(edges, m, w)) == value:
+                return seq, w
+    raise AssertionError(f"no labelled tree of order {m} attains {value}")
 
 
 def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     """One shard: all trees of a fixed order against all weight vectors.
 
     Returns per-(total, heavy) observed maxima of the median and the
-    overall weighted distance, plus any bound violations (with the
-    argmax instance retained for counterexample dumps).
+    overall weighted distance, plus any bound violations, each with its
+    :func:`_first_attaining` instance for counterexample dumps.
+
+    The maxima come from one labelling per tree shape, the parent arrays
+    with p(v) < v, whose edges (v, p(v)) for v = m−1..1 are in leaf-first
+    post-order.  Every tree has one (number it in BFS order), and the
+    vectors of a (total, heavy) pair are closed under permutation, so the
+    maxima equal those over every labelled tree.
     """
-    import numpy as np
-
     m, max_total = args
-    seqs, weights, med, top = _order_sigmas(m, max_total)
-    totals = weights.sum(axis=1)
-    wmax = weights.max(axis=1)
-
+    vectors = [w for total in range(m, max_total + 1) for w in _compositions(total, m)]
+    shapes = [
+        [(v, parents[v - 1]) for v in range(m - 1, 0, -1)]
+        for parents in itertools.product(*(range(v) for v in range(1, m)))
+    ]
     observed: dict[tuple[int, int], tuple[int, int]] = {}
+    for w in vectors:
+        sigmas = [_tree_sigmas(edges, m, w) for edges in shapes]
+        med_obs, any_obs = max(map(min, sigmas)), max(map(max, sigmas))
+        for heavy in range(2, max(w) + 1):
+            old = observed.get((sum(w), heavy), (0, 0))
+            observed[(sum(w), heavy)] = (max(old[0], med_obs), max(old[1], any_obs))
+
     violations: list[SweepViolation] = []
-    for total in range(m, max_total + 1):
-        for heavy in range(2, total + 1):
-            cols = np.nonzero((totals == total) & (wmax >= heavy))[0]
-            if cols.size == 0:
-                continue
-            med_obs = int(med[:, cols].max())
-            any_obs = int(top[:, cols].max())
-            observed[(total, heavy)] = (med_obs, any_obs)
-            for kind, obs, bound, mat in (
-                ("median", med_obs, median_bound(total, heavy, 1), med),
-                ("any", any_obs, any_vertex_bound(total, heavy, 1), top),
-            ):
-                if obs > bound:
-                    flat = int(np.argmax(mat[:, cols]))
-                    ti, cj = divmod(flat, cols.size)
-                    violations.append(
-                        SweepViolation(
-                            kind=kind,
-                            order=m,
-                            prufer=tuple(seqs[ti]),
-                            weights=tuple(int(x) for x in weights[cols[cj]]),
-                            heavy=heavy,
-                            observed=obs,
-                            bound=bound,
-                        )
+    for (total, heavy), (med_obs, any_obs) in sorted(observed.items()):
+        for kind, obs, bound, pick in (
+            ("median", med_obs, median_bound(total, heavy, 1), min),
+            ("any", any_obs, any_vertex_bound(total, heavy, 1), max),
+        ):
+            if obs > bound:
+                cell = [w for w in vectors if sum(w) == total and max(w) >= heavy]
+                seq, w = _first_attaining(m, cell, pick, obs)
+                violations.append(
+                    SweepViolation(
+                        kind=kind,
+                        order=m,
+                        prufer=seq,
+                        weights=w,
+                        heavy=heavy,
+                        observed=obs,
+                        bound=bound,
                     )
+                )
     return observed, violations
 
 
@@ -305,25 +296,28 @@ def instance_csv_rows(max_total: int, max_order: int) -> Iterator[str]:
     order (order, Prufer sequence, total, composition), whose maximum
     weight is at least 2.
 
-    The bound is :func:`~proxrem.weighted.median_bound` at the binding
-    heavy threshold, the maximum weight.  It is fixed per column, ``P/Q``
-    in lowest terms, so each row's slack ``P/Q - med`` is ``(P - med·Q)/Q``,
+    Each median is the least :func:`_tree_sigmas` on a Prufer decode.  The
+    bound is :func:`~proxrem.weighted.median_bound` at the binding heavy
+    threshold, the maximum weight.  It is fixed per vector, ``P/Q`` in
+    lowest terms, so each row's slack ``P/Q - med`` is ``(P - med·Q)/Q``,
     again in lowest terms, and is formatted from integers.
     """
     yield "tree_id,weights,median_sigma,bound,slack"
     for m in range(1, min(max_order, max_total) + 1):
-        _, weights, med, _ = _order_sigmas(m, max_total)
         cols = []
-        for j, w in enumerate(weights.tolist()):
-            if max(w) >= 2:
-                bound = median_bound(sum(w), max(w), 1)
-                den = "" if bound.denominator == 1 else f"/{bound.denominator}"
-                cols.append((j, "|".join(map(str, w)), bound, bound.numerator, bound.denominator, den))
-        for ti, row in enumerate(med.tolist()):
+        for total in range(m, max_total + 1):
+            for w in _compositions(total, m):
+                if max(w) >= 2:
+                    bound = median_bound(total, max(w), 1)
+                    den = "" if bound.denominator == 1 else f"/{bound.denominator}"
+                    wcell = ",{},".format("|".join(map(str, w)))
+                    cols.append((w, wcell, f",{bound},", bound.numerator, bound.denominator, den))
+        for ti, seq in enumerate(itertools.product(range(m), repeat=max(0, m - 2))):
+            edges = _decode_edges(seq, m)
             tree_id = f"m{m}-{ti}"
-            for j, wtxt, bound, p, q, den in cols:
-                x = row[j]
-                yield f"{tree_id},{wtxt},{x},{bound},{p - x * q}{den}"
+            for w, wcell, bcell, p, q, den in cols:
+                x = min(_tree_sigmas(edges, m, w))
+                yield f"{tree_id}{wcell}{x}{bcell}{p - x * q}{den}"
 
 
 def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaSweepReport:
@@ -335,7 +329,9 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
     distances are compared against the closed-form bounds.  Enumerating
     the designated heavy vertex collapses to the threshold test
     ``max(weights) >= heavy``, which covers every designation choice.
-    Ranges above the budget, or holding no instance, raise ``ValueError``.
+    :func:`_sweep_order` reads the maxima off one labelling per tree
+    shape.  Ranges above the budget, or holding no instance, raise
+    ``ValueError``.
     """
     if max_total > 9 or max_order > 7:
         raise ValueError(
@@ -356,11 +352,8 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
     for observed, viols in results:
         violations.extend(viols)
         for key, (med_obs, any_obs) in observed.items():
-            if key in merged:
-                old = merged[key]
-                merged[key] = (max(old[0], med_obs), max(old[1], any_obs))
-            else:
-                merged[key] = (med_obs, any_obs)
+            old = merged.get(key, (0, 0))
+            merged[key] = (max(old[0], med_obs), max(old[1], any_obs))
 
     records = [
         SweepRecord(
@@ -386,6 +379,13 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
 
 # ---------------------------------------------------------------------------
 # Seeded random connected graphs
+
+#: Largest ``--max-n`` of random mode.  The sampler draws n(n−1)/2 numbers
+#: per attempt: sampling plus ``bound_report`` of one graph of order 1000
+#: took 0.09–0.58 s and peaked at 3.4–79 MiB by ``tracemalloc`` over seeds
+#: 1–6 (2 cores, Python 3.11.7), and 0.39 s and 84 MiB with every pair an
+#: edge, so about 0.4·n² µs and 88·n² bytes per graph.
+MAX_RANDOM_ORDER = 1000
 
 
 def random_connected_graph(rng: random.Random, max_order: int) -> Graph:
@@ -550,8 +550,8 @@ def exhaustive_bound_check(
     elif sampler == "random":
         if samples < 1:
             raise ValueError("random mode needs samples >= 1")
-        if not 2 <= max_n <= MAX_ORDER:
-            raise ValueError(f"random mode needs 2 <= --max-n <= {MAX_ORDER}, got {max_n}")
+        if not 2 <= max_n <= MAX_RANDOM_ORDER:
+            raise ValueError(f"random mode needs 2 <= --max-n <= {MAX_RANDOM_ORDER}, got {max_n}")
         graphs = sample_corpus(seed, samples, max_n)
         items = list(enumerate(graphs))
         shard_fn = _random_shard

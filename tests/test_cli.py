@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxrem as px
+from proxrem import oracle
 from proxrem.cli import main
 from proxrem.graphs import MAX_ORDER
-from proxrem.oracle import instance_csv_rows
+from proxrem.oracle import MAX_RANDOM_ORDER, instance_csv_rows
+from proxrem.weighted import WeightFunction
 
 from .conftest import connected_graphs
 
@@ -30,15 +32,14 @@ def p5_file(tmp_path):
 
 @pytest.fixture
 def no_apsp(monkeypatch):
-    """Fail if any all-pairs work is done: a transmission kernel runs, or
-    BFS rows from every vertex.  Vertex 0's BFS row, the oracle's
-    connectivity, is allowed."""
+    """Fail if any all-pairs work is done: a transmission kernel runs.
+    Vertex 0's BFS row, the oracle's connectivity, is allowed."""
     from proxrem import graphs
 
     def forbidden(*_):
         raise AssertionError("all-pairs distances computed")
 
-    for name in ("_transmissions_bigint", "_transmissions_scipy", "_bfs_rows"):
+    for name in ("_transmissions_bigint", "_transmissions_scipy"):
         monkeypatch.setattr(graphs, name, forbidden)
 
 
@@ -284,6 +285,48 @@ class TestOracle:
                               capture_output=True, text=True, env=env, timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error:") and "--max-n" in proc.stderr
+
+    def test_random_max_n_above_random_cap_exits_2_at_once(self):
+        # the sampler's work is quadratic in the order; the cap comes first
+        env = {**os.environ, "PYTHONPATH": str(Path(px.__file__).parents[1])}
+        argv = ["oracle", "bound-check", "--random", "1", "--max-n", str(MAX_RANDOM_ORDER + 1), "--seed", "3"]
+        proc = subprocess.run([sys.executable, "-m", "proxrem.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and "--max-n" in proc.stderr
+        assert str(MAX_RANDOM_ORDER) in proc.stderr
+
+    @pytest.mark.parametrize("extra", [[], ["--instances", "inst.csv"]], ids=["defaults", "instances"])
+    def test_lemma_sweep_never_imports_numpy(self, tmp_path, extra):
+        out, loaded = _numpy_and_scipy_after(
+            "import os\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "from proxrem.cli import main\n"
+            f"assert main(['oracle', 'lemma-sweep', *{extra!r}]) == 0"
+        )
+        assert json.loads(out)["sweep"]["ok"] is True
+        assert loaded == []
+        if extra:
+            assert (tmp_path / "inst.csv").read_text().count("\n") == 713_731
+
+    def test_violation_dumps_replayable_counterexamples(self, monkeypatch, capsys, tmp_path):
+        real = oracle.median_bound
+        monkeypatch.setattr(oracle, "median_bound", lambda total, heavy, floor: real(total, heavy, floor) - 1)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, "oracle", "lemma-sweep", "--max-n", "5", "--max-order", "3")
+        assert code == 1
+        violations = px.lemma_sweep(5, 3).violations
+        assert json.loads(out)["sweep"]["violations"] == len(violations) > 0
+        reported = err.splitlines()
+        assert len(reported) == len(violations)
+        for i, v in enumerate(violations):
+            assert reported[i].startswith(
+                f"violation[{i}]: kind={v.kind} order={v.order} heavy={v.heavy} observed={v.observed} "
+            )
+            tree = px.parse_graph((tmp_path / f"counterexample-{i}.edges").read_text())
+            assert tree == px.prufer_decode(v.prufer, v.order)
+            weights = WeightFunction.from_lines((tmp_path / f"counterexample-{i}.weights").read_text(), v.order)
+            assert weights.values == tuple(map(Fraction, v.weights))
 
     @pytest.mark.parametrize(
         "argv",

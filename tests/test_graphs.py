@@ -267,9 +267,8 @@ class TestBigIntKernel:
         assert weighted_transmissions(g, weights) == expected
 
 
-#: Every kernel a graph's transmissions can come from, and the BFS rows from
-#: every vertex.
-KERNELS = ("_transmissions_bigint", "_transmissions_scipy", "_bfs_rows")
+#: Every kernel a graph's transmissions can come from.
+KERNELS = ("_transmissions_bigint", "_transmissions_scipy")
 
 
 def _only(monkeypatch, *allowed):
@@ -301,7 +300,7 @@ class TestDispatch:
                                 + [(i, i // 2) for i in range(1, 300)])
         assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
         assert g.n >= graphs._SCIPY_MIN_ORDER
-        expected = tuple(map(sum, graphs._bfs_rows(g.adj)))
+        expected = tuple(sum(graphs._bfs(g.adj, v)) for v in range(g.n))
         _only(monkeypatch, "_transmissions_bigint")
         assert px.all_pairs_distances(g).transmissions == expected
 
@@ -359,7 +358,7 @@ class TestDispatch:
         # 2·ecc(0) at the cap, or at the cap + 2
         g = _broom(n, graphs._BITSET_MAX_LEVELS // 2 + extra_levels // 2)
         assert 2 * max(graphs._bfs(g.adj, 0)) == graphs._BITSET_MAX_LEVELS + extra_levels
-        expected = tuple(map(sum, graphs._bfs_rows(g.adj)))
+        expected = tuple(sum(graphs._bfs(g.adj, v)) for v in range(g.n))
         _only(monkeypatch, kernel)
         assert px.all_pairs_distances(g).transmissions == expected
 
@@ -545,6 +544,6 @@ class TestTreeDistances:
     def test_deep_and_shallow_trees_match_bfs(self, t):
         root = t.n // 2
         parent, trans = tree_transmissions(t, root)
-        assert trans == [sum(row) for row in graphs._bfs_rows(t.adj)]
+        assert trans == [sum(graphs._bfs(t.adj, v)) for v in range(t.n)]
         depth = graphs._bfs(t.adj, root)
         assert all(depth[parent[v]] == depth[v] - 1 for v in range(t.n) if v != root)

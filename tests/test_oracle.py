@@ -6,22 +6,27 @@ from math import comb
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import proxrem as px
 from proxrem import oracle
 from proxrem.cli import main
 from proxrem.construction import bound_verdicts
+from proxrem.weighted import any_vertex_bound, median_bound
 from proxrem.oracle import (
     BoundCheckReport,
     BoundWitness,
+    SweepViolation,
     _compositions,
+    _decode_edges,
     _prufer_transmissions,
+    _tree_sigmas,
     instance_csv_rows,
     parallel_map,
     sweep_instance_count,
 )
 
-from .conftest import floyd_warshall, labeled_trees
+from .conftest import floyd_warshall, labeled_trees, weighted_floyd_warshall
 
 
 class TestPrufer:
@@ -150,6 +155,79 @@ class TestLemmaSweep:
                         rows.append(f"m{m}-{ti},{wtxt},{med},{bound},{bound - med}")
         assert len(rows) == 1 + 300
         assert list(instance_csv_rows(6, 4)) == rows
+
+
+def _labelled_sweep(max_total, max_order, median, any_vertex):
+    """The lemma sweep rebuilt over every labelled tree: trees from
+    prufer_decode in product order, distances from Floyd-Warshall,
+    compositions by filtering.  Returns the (total, heavy, median
+    observed, any observed) records and the violations of the given
+    bounds, each naming the first tree, then the first vector of its cell,
+    that attains the observed maximum."""
+    observed = {}
+    violations = []
+    for m in range(1, min(max_order, max_total) + 1):
+        seqs = list(itertools.product(range(m), repeat=max(0, m - 2)))
+        dists = [floyd_warshall(px.prufer_decode(seq, m)) for seq in seqs]
+        for total in range(m, max_total + 1):
+            vectors = [w for w in itertools.product(range(1, total + 1), repeat=m) if sum(w) == total]
+            sigmas = [
+                [[sum(c * d for c, d in zip(w, row)) for row in dist] for w in vectors]
+                for dist in dists
+            ]
+            for heavy in range(2, total + 1):
+                cols = [j for j, w in enumerate(vectors) if max(w) >= heavy]
+                if not cols:
+                    continue
+                obs = {}
+                for kind, pick, bound in (
+                    ("median", min, median(total, heavy, 1)),
+                    ("any", max, any_vertex(total, heavy, 1)),
+                ):
+                    values = [(pick(sigmas[ti][j]), ti, j) for ti in range(len(seqs)) for j in cols]
+                    obs[kind] = max(v for v, _, _ in values)
+                    if obs[kind] > bound:
+                        ti, j = next((ti, j) for v, ti, j in values if v == obs[kind])
+                        violations.append(
+                            SweepViolation(kind, m, seqs[ti], vectors[j], heavy, obs[kind], bound)
+                        )
+                old = observed.get((total, heavy), (0, 0))
+                observed[(total, heavy)] = (max(old[0], obs["median"]), max(old[1], obs["any"]))
+    records = [(total, heavy, *obs) for (total, heavy), obs in sorted(observed.items())]
+    return records, violations
+
+
+class TestSweepAgainstLabelledTrees:
+    """The sweep reads one labelling per tree shape; these tests hold its
+    maxima and its witnesses to every labelled tree."""
+
+    def test_records_match_labelled_brute_force(self):
+        report = px.lemma_sweep(8, 6)
+        records, violations = _labelled_sweep(8, 6, median_bound, any_vertex_bound)
+        assert [(r.total, r.heavy, r.median_observed, r.any_observed) for r in report.records] == records
+        assert report.violations == violations == []
+
+    @pytest.mark.parametrize("max_total,max_order", [(6, 4), (7, 5)])
+    def test_violation_witnesses_match_labelled_brute_force(self, monkeypatch, max_total, max_order):
+        # both bounds lowered below the true values, so most cells fail
+        def median(total, heavy, floor):
+            return median_bound(total, heavy, floor) / 2 - 1
+
+        def any_vertex(total, heavy, floor):
+            return any_vertex_bound(total, heavy, floor) * 2 / 3
+
+        monkeypatch.setattr(oracle, "median_bound", median)
+        monkeypatch.setattr(oracle, "any_vertex_bound", any_vertex)
+        report = px.lemma_sweep(max_total, max_order)
+        _, violations = _labelled_sweep(max_total, max_order, median, any_vertex)
+        assert {v.kind for v in violations} == {"median", "any"}
+        assert report.violations == violations
+
+    @given(labeled_trees(min_order=1, max_order=9), st.data())
+    def test_tree_sigmas_match_floyd_warshall(self, t, data):
+        w = data.draw(st.lists(st.integers(1, 50), min_size=t.n, max_size=t.n))
+        edges = _decode_edges(px.prufer_encode(t), t.n)
+        assert tuple(_tree_sigmas(edges, t.n, w)) == weighted_floyd_warshall(t, w)
 
 
 class TestRandomSampler:
