@@ -6,15 +6,17 @@ bounds, optionally with the certified inequality chains), ``extremal``
 
 Exit codes: 0 success, 1 a verified claim failed (counterexample found),
 2 usage or input error (an unreadable path, a disconnected graph or one
-above ``graphs.MAX_ORDER`` vertices included), 3 an internal error: any
-other exception, reported as one ``internal error:`` line on stderr so
-that a crash never reads as a counterexample.  ``compute`` and ``verify``
-read G's transmissions, which come with no n×n array; ``verify --chain``
-reads the spanning tree T and the auxiliary graph F through BFS rows,
-balls and F's weighted transmissions, with no n×n array either.  A
-distance kernel imports its array libraries only when ``graphs`` selects
-it, so a small graph, or a large one of small diameter, is checked
-without them.
+above ``graphs.MAX_ORDER`` vertices, an ``extremal`` order above that cap
+and a sweep above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
+error: any other exception, reported as one ``internal error:`` line on
+stderr so that a crash never reads as a counterexample.  ``compute`` and
+``verify`` read G's transmissions, which come with no n×n array;
+``verify --chain`` builds the spanning tree T and the auxiliary graph F
+from balls, one BFS of each, rerooting passes over T and F's weighted
+transmissions, with no n×n array either, and the certifiers read the
+trace alone.  A distance kernel imports its array libraries only when
+``graphs`` selects it, so a small graph, or a large one of small
+diameter, is checked without them.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays

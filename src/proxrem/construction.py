@@ -23,11 +23,11 @@ from .graphs import (
     Graph,
     _ball,
     _bfs,
+    _tree_sigmas,
     all_pairs_distances,
     degree_stats,
     graph_from_edges,
     is_connected,
-    tree_transmissions,
     weighted_transmissions,
 )
 from .invariants import (
@@ -56,16 +56,19 @@ class ConstructionTrace:
     max-degree root).  ``nearest_anchor[v]`` is the anchor that received
     v's unit weight; it is within T-distance 2 of v and doubles as the
     anchor used for the remoteness chain.  ``aux`` is F with vertex ``i``
-    standing for ``anchors[i]``.  ``adjusted_weights`` is the contracted
-    weight map with ``q`` added at ``w0``.
+    standing for ``anchors[i]``.
 
-    ``tree_summary`` holds the invariants of T, from the rerooted
-    transmissions of :func:`~proxrem.graphs.tree_transmissions`.  It is
-    computed once here, read by the chain certifiers, and takes no part in
-    equality or ``repr``.  Neither T nor F has an n×n distance array: the
-    pipeline and the certifiers read both through BFS rows and balls, and
-    w0 comes from F's weighted transmissions,
-    :func:`~proxrem.graphs.weighted_transmissions`.
+    The last four fields are the distance sums the chains compare,
+    computed once here and only read by the certifiers; they take no part
+    in equality, ``repr`` or :func:`trace_to_json`.  ``tree_summary``
+    holds T's invariants.  By anchor position, as in ``aux``:
+    ``contracted_tree`` is σ_c,T, the weighted transmission in T under
+    the contracted weights (0 off the anchors); ``contracted_aux`` is
+    σ_c,F, its analogue in F; and ``adjusted_aux`` is σ_c,F with ``q``
+    added to the weight of ``w0``.  T's come from two rerooting passes of
+    :func:`~proxrem.graphs._tree_sigmas` over its edges, F's from
+    :func:`~proxrem.graphs.weighted_transmissions` and one BFS row from
+    w0, so neither T nor F has an n×n distance array.
     """
 
     order: int
@@ -78,9 +81,11 @@ class ConstructionTrace:
     weights: dict[int, int]
     aux: Graph
     q: int
-    adjusted_weights: dict[int, Fraction]
     w0: int
     tree_summary: InvariantSummary = field(compare=False, repr=False)
+    contracted_tree: tuple[int, ...] = field(compare=False, repr=False)
+    contracted_aux: tuple[int, ...] = field(compare=False, repr=False)
+    adjusted_aux: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def q_adjustment(n: int, Delta: int, delta: int) -> int:
@@ -97,7 +102,8 @@ def _grow_anchor_tree(g: Graph) -> tuple[list[int], list[tuple[int, int]], bytea
     ``dist`` is each vertex's set-distance to B, capped at 4 for "more
     than 3"; a new anchor relaxes it through its radius-3 ball alone.
     ``at3`` is a heap of the vertices that reached 3, and an entry is stale
-    once its vertex has come closer.
+    once its vertex has come closer.  Raises ``ValueError`` when G is
+    disconnected.
     """
     degs = [g.degree(v) for v in range(g.n)]
     b0 = degs.index(max(degs))
@@ -136,7 +142,10 @@ def _grow_anchor_tree(g: Graph) -> tuple[list[int], list[tuple[int, int]], bytea
         add_star(b)
         edges.append(connector)  # type: ignore[arg-type]
         anchors.append(b)
-    _require(max(dist) <= 2, "anchors fail to dominate at radius 2")
+    # in a connected graph a shortest path from a vertex beyond 3 to B
+    # passes one at exactly 3, so none is left only when G is disconnected
+    if max(dist) > 2:
+        raise ValueError("construction needs a connected graph")
     return anchors, edges, in_tree
 
 
@@ -191,9 +200,19 @@ def auxiliary_graph(tree: Graph, anchors: Sequence[int]) -> Graph:
     return aux
 
 
-def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
-    """Run the full pipeline on a connected graph of order >= 2; ``d`` is
-    G's oracle, read for its connectivity alone.
+def _tree_edges(tree: Graph, root: int) -> list[tuple[int, int]]:
+    """The (child, parent) edges of ``tree`` rooted at ``root``, in
+    leaf-first post-order, from one BFS: it visits every parent before its
+    children, so the reversed visit order is a post-order.  Raises unless
+    ``tree`` is a spanning tree."""
+    depth, order = _ball(tree.adj, root, INF)
+    _require(tree.edge_count() == tree.n - 1 == len(order) - 1, "result is not a spanning tree")
+    return [(v, next(u for u in tree.adj[v] if depth[u] < depth[v])) for v in reversed(order[1:])]
+
+
+def build_construction(g: Graph) -> ConstructionTrace:
+    """Run the full pipeline on a connected graph of order >= 2; a
+    disconnected one is a ``ValueError``.
 
     Deterministic: the root is the lowest-index maximum-degree vertex,
     each new anchor is the lowest-index vertex at set-distance exactly 3,
@@ -202,8 +221,6 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
     """
     if g.n < 2:
         raise ValueError("construction needs at least two vertices")
-    if not d.connected:
-        raise ValueError("construction needs a connected graph")
     delta, Delta = degree_stats(g)
 
     anchors, edges, in_core = _grow_anchor_tree(g)
@@ -216,10 +233,8 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
         _require(host is not None, f"leftover vertex {v} has no neighbor in the core tree")
         edges.append((host, v))  # type: ignore[arg-type]
     tree = graph_from_edges(g.n, edges)
-    try:
-        parent, tree_trans = tree_transmissions(tree, b0)
-    except ValueError:
-        raise ConstructionError("result is not a spanning tree") from None
+    post_order = _tree_edges(tree, b0)
+    up = dict(post_order)
     _require(tree.degree(b0) == g.degree(b0) == Delta, "root degree not preserved")
 
     assignment, counts = contract_weights(tree, anchors)
@@ -241,15 +256,14 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
     w0 = min(b for b, s in zip(anchors, sigma) if s == smin)
     w0_pos = anchors.index(w0)
 
-    adjusted = {b: Fraction(counts[b]) for b in anchors}
-    adjusted[w0] += q
     # adding q at w0 cannot dethrone it, but the claim is checked, not trusted
     to_w0 = _bfs(aux.adj, w0_pos)
-    sigma_adj = [s + q * d for s, d in zip(sigma, to_w0)]
+    sigma_adj = tuple(s + q * d for s, d in zip(sigma, to_w0))
     _require(
         sigma_adj[w0_pos] == min(sigma_adj),
         "chosen median lost medianhood after the q adjustment",
     )
+    sigma_c_tree = _tree_sigmas(post_order, g.n, [counts.get(v, 0) for v in range(g.n)])
 
     return ConstructionTrace(
         order=g.n,
@@ -257,14 +271,16 @@ def build_construction(g: Graph, d: DistanceOracle) -> ConstructionTrace:
         Delta=Delta,
         anchors=tuple(anchors),
         tree=tree,
-        parent=tuple(parent),
+        parent=tuple(up.get(v, -1) for v in range(g.n)),
         nearest_anchor=assignment,
         weights=counts,
         aux=aux,
         q=q,
-        adjusted_weights=adjusted,
         w0=w0,
-        tree_summary=summarize_transmissions(tree_trans),
+        tree_summary=summarize_transmissions(_tree_sigmas(post_order, g.n, [1] * g.n)),
+        contracted_tree=tuple(sigma_c_tree[b] for b in anchors),
+        contracted_aux=sigma,
+        adjusted_aux=sigma_adj,
     )
 
 
@@ -309,20 +325,12 @@ def _link(name: str, lhs: Fraction | int, rhs: Fraction | int) -> ChainLink:
     return ChainLink(name, lf, rf, lf <= rf)
 
 
-def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, Fraction]:
-    """Transmission and contracted weighted distances at an anchor ``at``.
-
-    T's and F's distances from ``at`` are one BFS row of each.  Returns
-    ``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)``.
-    """
-    anchors = trace.anchors
+def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, int]:
+    """``(sigma_T, sigma_c_T, sigma_c_F, sigma_adjusted_F)`` at an anchor
+    ``at``, read off the trace."""
+    i = trace.anchors.index(at)
     sigma_t = trace.tree_summary.transmissions[at]
-    to_at = _bfs(trace.tree.adj, at)
-    sigma_c_t = sum(trace.weights[b] * to_at[b] for b in anchors)
-    in_f = _bfs(trace.aux.adj, anchors.index(at))
-    sigma_c_f = sum(trace.weights[b] * d for b, d in zip(anchors, in_f))
-    sigma_adj_f = Fraction(sigma_c_f) + trace.q * in_f[anchors.index(trace.w0)]
-    return sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f
+    return sigma_t, trace.contracted_tree[i], trace.contracted_aux[i], trace.adjusted_aux[i]
 
 
 def certify_proximity_chain(
@@ -330,9 +338,9 @@ def certify_proximity_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the proximity of G through its trace.
 
-    T's invariants come from the trace, which computed them once, and
-    T's and F's distances from one BFS row of each; ``summary`` is G's
-    own, from the caller.
+    Every distance sum of T and F is read off the trace, which computed
+    it once, and ``summary`` is G's own, from the caller, so no distance
+    is computed here.
 
     Each merged constant is re-derived as its own link, so an arithmetic
     slip anywhere in the derivation surfaces as a failed certificate with
@@ -362,8 +370,8 @@ def certify_proximity_chain(
         _link("tree_vs_aux_factor3", sigma_c_t, 3 * sigma_c_f),
         _link("adjusted_weights_dominate", sigma_c_f, sigma_adj_f),
         _link("median_bound_adjusted_total", sigma_adj_f, adjusted_bound),
-        _link("median_bound_q_free", Fraction(sigma_c_f), q_free_bound),
-        _link("median_bound_merged", Fraction(sigma_c_f), merged_bound),
+        _link("median_bound_q_free", sigma_c_f, q_free_bound),
+        _link("median_bound_merged", sigma_c_f, merged_bound),
         _link("root_transmission_bound", sigma_t, (n - 1) * bounds.pi_bound),
         _link("proximity_tree_dominates", summary.proximity, inv_t.proximity),
         _link("proximity_via_median", inv_t.proximity, Fraction(sigma_t, n - 1)),
@@ -376,8 +384,8 @@ def certify_remoteness_chain(
 ) -> tuple[ChainLink, ...]:
     """Certify every link bounding the remoteness of G through its trace.
 
-    As for :func:`certify_proximity_chain`, T's invariants come from the
-    trace and T's and F's distances from BFS rows; ``summary`` is G's.
+    As for :func:`certify_proximity_chain`, T's and F's distance sums
+    come from the trace and ``summary`` is G's; nothing is recomputed.
     """
     n, delta, Delta = trace.order, trace.delta, trace.Delta
     inv_t = trace.tree_summary
@@ -398,8 +406,8 @@ def certify_remoteness_chain(
         _link("tree_vs_aux_factor3", sigma_c_t, 3 * sigma_c_f),
         _link("adjusted_weights_dominate", sigma_c_f, sigma_adj_f),
         _link("any_vertex_bound_adjusted_total", sigma_adj_f, adjusted_bound),
-        _link("any_vertex_bound_q_free", Fraction(sigma_c_f), q_free_bound),
-        _link("aux_remote_merged", Fraction(sigma_c_f), merged_bound),
+        _link("any_vertex_bound_q_free", sigma_c_f, q_free_bound),
+        _link("aux_remote_merged", sigma_c_f, merged_bound),
         _link("remote_chain_combined", sigma_far, 3 * sigma_c_f + 4 * (n - 1)),
         _link("remote_transmission_bound", sigma_far, (n - 1) * bounds.rho_bound),
         _link("remoteness_tree_bound", inv_t.remoteness, bounds.rho_bound),
@@ -483,7 +491,7 @@ def bound_report(
 
     prox_chain = rem_chain = None
     if include_chains:
-        trace = build_construction(g, d)
+        trace = build_construction(g)
         prox_chain = certify_proximity_chain(trace, inv)
         rem_chain = certify_remoteness_chain(trace, inv)
 

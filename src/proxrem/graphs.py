@@ -239,7 +239,8 @@ def _ball(
     d(s, x) = d(s, w) + d(w, x) ≥ f(w) + d(w, x) ≥ f(x).
 
     The one hand-rolled BFS in the package; every other distance comes
-    from here, from the big-int multi-source BFS or from the scipy backend.
+    from here, from the big-int multi-source BFS, from the scipy backend or,
+    on a tree, from :func:`_tree_sigmas`.
     """
     if dist is None:
         dist = [INF] * len(adj)
@@ -405,34 +406,28 @@ def weighted_transmissions(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     return _transmissions_bigint(g.adj, weights)
 
 
-def tree_transmissions(t: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Parents and transmissions of a tree rooted at ``root``, from one BFS
-    and no n×n array.
+def _tree_sigmas(edges: Sequence[tuple[int, int]], m: int, w: Sequence[int]) -> list[int]:
+    """σ_w(v) = Σ_u w_u·d(u, v) on a tree of order ``m``, from its (child,
+    parent) edges in leaf-first post-order, the last parent being the root.
 
-    v's parent is its one neighbour a step closer to the root (-1 at the
-    root).  Subtree sizes are summed deepest first; then σ(root) is the
-    sum of the depths and each child c, parents first, has
-    σ(c) = σ(parent) + n − 2·|subtree(c)|, since moving the centre across
-    one edge brings c's subtree a step closer and the rest a step farther.
-    Raises ``ValueError`` unless ``t`` is a tree.
+    Subtree weights accumulate along the edges; σ_w(root) is the sum of
+    those of the non-root vertices, and in reverse order each child has
+    σ_w(c) = σ_w(p) + W − 2·w(subtree(c)), W the total, since moving the
+    centre across one edge brings c's subtree a step closer and the rest a
+    step farther.  The one rerooting routine of the package.
     """
-    n = t.n
-    depth, order = _ball(t.adj, root, INF)
-    if t.edge_count() != n - 1 or len(order) != n:
-        raise ValueError("tree transmissions need a tree")
-    below_root = order[1:]
-    parent = [-1] * n
-    for v in below_root:
-        up = depth[v] - 1
-        parent[v] = next(u for u in t.adj[v] if depth[u] == up)
-    size = [1] * n
-    for v in reversed(below_root):
-        size[parent[v]] += size[v]
-    trans = [0] * n
-    trans[root] = sum(depth)
-    for v in below_root:
-        trans[v] = trans[parent[v]] + n - 2 * size[v]
-    return parent, trans
+    if not edges:
+        return [0] * m
+    sub = list(w)
+    for child, up in edges:
+        sub[up] += sub[child]
+    root = edges[-1][1]
+    total = sub[root]
+    sigma = [0] * m
+    sigma[root] = sum(sub) - total
+    for child, up in reversed(edges):
+        sigma[child] = sigma[up] + total - 2 * sub[child]
+    return sigma
 
 
 # Small factories used throughout the tests and the CLI examples.

@@ -7,9 +7,10 @@ proximity and remoteness bounds, and the seeded random-connected-graph
 sampler used by every randomized corpus.
 
 Neither sweep builds a Graph per tree: (weighted) transmissions come
-from one rerooting pass, :func:`_tree_sigmas`.  The exhaustive tree check
-evaluates the six bounds once per exact key (order, degree extremes,
-transmission extremes), which every tree with that key then reads.
+from one rerooting pass of :func:`~proxrem.graphs._tree_sigmas` over the
+Prufer decode's edges.  The exhaustive tree check evaluates the six
+bounds once per exact key (order, degree extremes, transmission
+extremes), which every tree with that key then reads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb, log
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .construction import BoundVerdicts, bound_report, bound_verdicts
-from .graphs import Graph, graph_from_edges, is_connected, render_graph
+from .graphs import Graph, _tree_sigmas, graph_from_edges, is_connected, render_graph
 from .weighted import any_vertex_bound, median_bound
 
 #: Default seed for every randomized corpus (overridable via --seed).
@@ -75,28 +76,6 @@ def _decode_edges(seq: Sequence[int], m: int) -> list[tuple[int, int]]:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return edges
-
-
-def _tree_sigmas(edges: Sequence[tuple[int, int]], m: int, w: Sequence[int]) -> list[int]:
-    """σ_w(v) = Σ_u w_u·d(u, v) on a tree of order ``m``, from its (child,
-    parent) edges in leaf-first post-order, the last parent being the root.
-
-    Subtree weights accumulate along the edges; σ_w(root) is the sum of
-    those of the non-root vertices, and in reverse order each child has
-    σ_w(c) = σ_w(p) + W − 2·w(subtree(c)), W the total.
-    """
-    if not edges:
-        return [0] * m
-    sub = list(w)
-    for child, up in edges:
-        sub[up] += sub[child]
-    root = edges[-1][1]
-    total = sub[root]
-    sigma = [0] * m
-    sigma[root] = sum(sub) - total
-    for child, up in reversed(edges):
-        sigma[child] = sigma[up] + total - 2 * sub[child]
-    return sigma
 
 
 def _prufer_transmissions(seq: Sequence[int], m: int) -> list[int]:

@@ -64,9 +64,10 @@ class WeightFunction:
         """Parse :meth:`to_lines` output; blank and ``#`` lines are skipped.
 
         Raises :class:`ParseError` on a malformed line, a vertex outside
-        ``0..n-1`` or a zero denominator.
+        ``0..n-1``, a vertex given on two lines or a zero denominator.
         """
         vals = [Fraction(0)] * n
+        seen: dict[int, int] = {}  # vertex -> its line
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -80,6 +81,9 @@ class WeightFunction:
                 raise ParseError(f"line {lineno}: expected 'vertex weight', got {raw!r}") from None
             if not 0 <= v < n:
                 raise ParseError(f"line {lineno}: vertex {v} out of range for order {n}")
+            if v in seen:
+                raise ParseError(f"line {lineno}: vertex {v} repeats line {seen[v]}: {raw!r}")
+            seen[v] = lineno
             vals[v] = w
         return cls(tuple(vals))
 

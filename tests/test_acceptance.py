@@ -97,7 +97,7 @@ def test_criterion_4_construction_invariants_and_chains(corpus):
     ok = True
     for g in corpus:
         d = px.all_pairs_distances(g)
-        trace = px.build_construction(g, d)
+        trace = px.build_construction(g)
         n = g.n
         # every vertex of G within 2 of an anchor: two multi-source steps
         near = set(trace.anchors)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,43 @@ class TestExtremal:
         )
         assert len(out.splitlines()) == 1 + 1641
         assert loaded == []
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--n", "100000004", "--delta", "3", "--Delta", "4", "--sharpness"], "--n"),
+            (["--n", str(MAX_ORDER + 4), "--delta", "3", "--Delta", "4"], "--n"),
+            (["--delta", "3", "--sweep", "16", "200000"], "--sweep"),
+            (["--delta", "3", "--sweep", str(MAX_ORDER + 1), str(MAX_ORDER + 1)], "--sweep"),
+            (["--delta", "3", "--sweep", "16", "700"], "--sweep"),
+            (["--delta", "-1", "--sweep", "16", "20"], "--delta -1"),
+        ],
+        ids=["sharpness-order", "graph-order", "sweep-order", "sweep-order-one-member",
+             "sweep-work", "sweep-delta-minus-1"],
+    )
+    def test_over_budget_exits_2_before_allocating(self, capsys, argv, flag):
+        # each is refused from its arguments alone, so the peak stays tiny
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "extremal", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and flag in err
+        assert peak < 1 << 20
+
+    def test_sweep_work_limit_is_inclusive(self, capsys, monkeypatch):
+        from proxrem import extremal
+
+        work = sum(n * len(extremal.valid_Deltas(n, 3)) for n in range(16, 121))
+        monkeypatch.setattr(extremal, "MAX_SWEEP_WORK", work - 1)
+        code, out, err = _run(capsys, "extremal", "--delta", "3", "--sweep", "16", "120")
+        assert (code, out) == (2, "")
+        assert err == f"error: --sweep 16 120: members' orders sum to {work} > {work - 1}\n"
+        monkeypatch.setattr(extremal, "MAX_SWEEP_WORK", work)
+        code, out, _ = _run(capsys, "extremal", "--delta", "3", "--sweep", "16", "120")
+        assert code == 0 and len(out.splitlines()) == 1 + 1641
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.edges"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import proxrem as px
 from proxrem import graphs
 from proxrem.construction import trace_to_json
-from proxrem.graphs import tree_transmissions, weighted_transmissions
+from proxrem.graphs import _tree_sigmas, weighted_transmissions
 
 from .conftest import (
     connected_graphs,
@@ -18,11 +19,6 @@ from .conftest import (
     set_distance,
     weighted_floyd_warshall,
 )
-
-
-def _build(g):
-    """The construction on ``g`` with G's distances, as ``bound_report`` runs it."""
-    return px.build_construction(g, px.all_pairs_distances(g))
 
 
 def _verify_trace_invariants(g, trace):
@@ -69,7 +65,7 @@ def _verify_trace_invariants(g, trace):
 class TestPipelineExamples:
     def test_seven_path_trace(self):
         g = px.path_graph(7)
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace_to_json(trace) == {
             "order": 7,
             "delta": 1,
@@ -88,7 +84,7 @@ class TestPipelineExamples:
 
     def test_star_trace(self):
         g = px.star_graph(5)
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace.anchors == (0,)
         assert trace.tree == g
         assert trace.aux.n == 1
@@ -97,14 +93,14 @@ class TestPipelineExamples:
 
     def test_complete_graph_trace(self):
         g = px.complete_graph(7)
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace.anchors == (0,)
         assert sorted(trace.tree.edges()) == [(0, v) for v in range(1, 7)]
         _verify_trace_invariants(g, trace)
 
     def test_nine_cycle_trace(self):
         g = px.cycle_graph(9)
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace.anchors == (0, 3, 6)
         assert trace.weights == {0: 3, 3: 3, 6: 3}
         assert trace.w0 == 3
@@ -112,7 +108,7 @@ class TestPipelineExamples:
 
     def test_golden_trace_seeded_graph(self):
         g = px.sample_corpus(42, 1, 12)[0]
-        assert trace_to_json(_build(g)) == {
+        assert trace_to_json(px.build_construction(g)) == {
             "order": 12,
             "delta": 1,
             "Delta": 6,
@@ -127,12 +123,12 @@ class TestPipelineExamples:
 
     def test_determinism(self):
         g = px.sample_corpus(7, 1, 40)[0]
-        assert trace_to_json(_build(g)) == trace_to_json(
-            _build(g)
+        assert trace_to_json(px.build_construction(g)) == trace_to_json(
+            px.build_construction(g)
         )
 
     def test_broken_tree_is_a_construction_error(self, monkeypatch, tmp_path, capsys):
-        # T's connectivity is read off its one rerooting BFS; a core tree
+        # T's connectivity is read off its one BFS; a core tree
         # missing its connector fails there with the spanning-tree message,
         # and verify exits 1 as for any failed construction invariant
         from proxrem import construction
@@ -146,7 +142,7 @@ class TestPipelineExamples:
 
         monkeypatch.setattr(construction, "_grow_anchor_tree", drop_connector)
         with pytest.raises(px.ConstructionError, match="^result is not a spanning tree$"):
-            _build(px.path_graph(7))
+            px.build_construction(px.path_graph(7))
         f = tmp_path / "p7.edges"
         f.write_text(px.render_graph(px.path_graph(7)))
         assert main(["verify", "--chain", str(f)]) == 1
@@ -159,20 +155,23 @@ class TestPipelineExamples:
 
         checked = []
         monkeypatch.setattr(construction, "is_connected", lambda h: checked.append(h.n) or True)
-        trace = _build(px.path_graph(7))
-        assert checked == [len(trace.anchors)]  # F only; T's BFS is tree_transmissions
+        trace = px.build_construction(px.path_graph(7))
+        assert checked == [len(trace.anchors)]  # F only; T's BFS roots its edges
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            _build(px.graph_from_edges(1, []))
-        with pytest.raises(ValueError):
-            _build(px.graph_from_edges(4, [(0, 1), (2, 3)]))
+            px.build_construction(px.graph_from_edges(1, []))
+        # the anchor growth finds a disconnected graph with no BFS of G
+        with pytest.raises(ValueError, match="^construction needs a connected graph$"):
+            px.build_construction(px.graph_from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError, match="^construction needs a connected graph$"):
+            px.build_construction(px.graph_from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
 
 
 class TestSubOperations:
     def test_contract_weights_assigns_anchors_to_themselves(self):
         g = px.cycle_graph(9)
-        trace = _build(g)
+        trace = px.build_construction(g)
         assignment, counts = px.contract_weights(trace.tree, trace.anchors)
         assert assignment == trace.nearest_anchor
         assert counts == trace.weights
@@ -181,7 +180,7 @@ class TestSubOperations:
 
     def test_auxiliary_graph_single_anchor(self):
         g = px.star_graph(3)
-        trace = _build(g)
+        trace = px.build_construction(g)
         aux = px.auxiliary_graph(trace.tree, trace.anchors)
         assert aux.n == 1 and aux.edge_count() == 0
 
@@ -246,7 +245,7 @@ class TestMatrixFreeTree:
     @settings(max_examples=100, deadline=None)
     def test_construction_aux_matches_floyd_warshall(self, g):
         # the balls share one distance list; each must still start fresh
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace.aux == _aux_by_floyd_warshall(trace.tree, trace.anchors)
 
     def test_aux_on_a_path_of_order_10_000(self):
@@ -376,7 +375,7 @@ class TestChains:
         ids=["K6", "P7", "C12", "star9", "K2"],
     )
     def test_chains_hold(self, g):
-        trace, inv = _build(g), px.invariant_summary(g)
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
         prox = px.certify_proximity_chain(trace, inv)
         rem = px.certify_remoteness_chain(trace, inv)
         assert all(link.holds for link in prox), [l for l in prox if not l.holds]
@@ -384,7 +383,7 @@ class TestChains:
 
     def test_chain_is_transitive_to_final_bound(self):
         g = px.cycle_graph(12)
-        trace, inv = _build(g), px.invariant_summary(g)
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
         links = {l.name: l for l in px.certify_proximity_chain(trace, inv)}
         bounds = px.degree_range_bounds(g.n, trace.delta, trace.Delta)
         assert links["proximity_bound"].lhs == inv.proximity
@@ -392,7 +391,7 @@ class TestChains:
 
     def test_extremal_graph_chain(self):
         g = px.extremal_graph(px.ExtremalParams(20, 3, 8))
-        trace, inv = _build(g), px.invariant_summary(g)
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
         assert all(l.holds for l in px.certify_proximity_chain(trace, inv))
         rem = px.certify_remoteness_chain(trace, inv)
         assert all(l.holds for l in rem)
@@ -402,7 +401,7 @@ class TestChains:
     @given(connected_graphs(max_order=14))
     @settings(max_examples=60, deadline=None)
     def test_chains_hold_on_random_graphs(self, g):
-        trace, inv = _build(g), px.invariant_summary(g)
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
         _verify_trace_invariants(g, trace)
         assert all(l.holds for l in px.certify_proximity_chain(trace, inv))
         assert all(l.holds for l in px.certify_remoteness_chain(trace, inv))
@@ -448,13 +447,13 @@ class TestAnchorTree:
     @given(connected_graphs(max_order=14))
     @settings(max_examples=80, deadline=None)
     def test_tree_follows_documented_rule(self, g):
-        trace = _build(g)
+        trace = px.build_construction(g)
         assert trace.tree == _tree_by_documented_rule(g, trace.anchors)
 
     @given(connected_graphs(max_order=40))
     @settings(max_examples=80, deadline=None)
     def test_anchors_match_matrix_rule(self, g):
-        assert _build(g).anchors == _anchors_by_matrix_rule(g)
+        assert px.build_construction(g).anchors == _anchors_by_matrix_rule(g)
 
     @pytest.mark.parametrize(
         "g",
@@ -468,22 +467,41 @@ class TestAnchorTree:
         ids=["P40", "C31", "grid5x9", "extremal", "random60"],
     )
     def test_anchors_match_matrix_rule_on_shapes(self, g):
-        assert _build(g).anchors == _anchors_by_matrix_rule(g)
+        assert px.build_construction(g).anchors == _anchors_by_matrix_rule(g)
+
+
+def _check_trace_sums(trace):
+    """σ_c,T, σ_c,F and the q-adjusted sum the trace holds at each anchor,
+    against Floyd–Warshall on T and F."""
+    fw_tree = floyd_warshall(trace.tree)
+    fw_aux = floyd_warshall(trace.aux)
+    weights = [trace.weights[b] for b in trace.anchors]
+    w0_pos = trace.anchors.index(trace.w0)
+    sigma_f = weighted_floyd_warshall(trace.aux, weights)
+    for i, b in enumerate(trace.anchors):
+        assert trace.contracted_tree[i] == sum(w * fw_tree[b][a] for a, w in zip(trace.anchors, weights))
+        assert trace.contracted_aux[i] == sigma_f[i]
+        assert trace.adjusted_aux[i] == sigma_f[i] + trace.q * fw_aux[i][w0_pos]
 
 
 class TestDistanceReuse:
     def test_report_with_chains_computes_tree_and_aux_distances_once(self, monkeypatch):
         from proxrem import construction, invariants
 
-        calls, tree_calls, aux_calls = [], [], []
+        calls, full_bfs, reroots, aux_calls = [], [], [], []
 
         def counting(g):
             calls.append(g.n)
             return px.all_pairs_distances(g)
 
-        def counting_tree(t, root):
-            tree_calls.append(t.n)
-            return tree_transmissions(t, root)
+        def counting_ball(adj, s, radius, dist=None):
+            if radius == graphs.INF:
+                full_bfs.append(len(adj))
+            return graphs._ball(adj, s, radius, dist)
+
+        def counting_reroot(edges, m, w):
+            reroots.append(m)
+            return _tree_sigmas(edges, m, w)
 
         def counting_aux(f, weights):
             aux_calls.append(f.n)
@@ -491,19 +509,22 @@ class TestDistanceReuse:
 
         monkeypatch.setattr(construction, "all_pairs_distances", counting)
         monkeypatch.setattr(invariants, "all_pairs_distances", counting)
-        monkeypatch.setattr(construction, "tree_transmissions", counting_tree)
+        monkeypatch.setattr(construction, "_ball", counting_ball)
+        monkeypatch.setattr(construction, "_tree_sigmas", counting_reroot)
         monkeypatch.setattr(construction, "weighted_transmissions", counting_aux)
         g = px.cycle_graph(12)
         report = px.bound_report(g, include_chains=True)
         assert report.all_hold()
         assert calls == [12]  # G only; neither T nor F has an oracle
-        assert tree_calls == [12]
+        assert full_bfs == [12]  # T's one BFS, which roots its edges
+        assert reroots == [12, 12]  # T's contracted sums and its transmissions
         assert aux_calls == [4]  # F on the four anchors
 
     @given(connected_graphs(max_order=12))
     @settings(max_examples=40, deadline=None)
     def test_trace_distances_match_floyd_warshall(self, g):
-        trace = _build(g)
+        trace = px.build_construction(g)
+        _check_trace_sums(trace)
         fw_tree = floyd_warshall(trace.tree)
         # w0 is the lowest-id anchor of least weighted transmission in F
         weights = [trace.weights[b] for b in trace.anchors]
@@ -527,7 +548,7 @@ class TestDistanceReuse:
     )
     def test_report_chains_equal_standalone_chains(self, g):
         report = px.bound_report(g, include_chains=True)
-        trace, inv = _build(g), px.invariant_summary(g)
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
         assert report.proximity_chain == px.certify_proximity_chain(trace, inv)
         assert report.remoteness_chain == px.certify_remoteness_chain(trace, inv)
 
@@ -554,9 +575,57 @@ class TestDistanceReuse:
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)
-        a, b = _build(g), _build(g)
+        a, b = px.build_construction(g), px.build_construction(g)
         assert a.tree_summary is not b.tree_summary and a == b
-        assert "tree_summary" not in repr(a)
+        sums = ("tree_summary", "contracted_tree", "contracted_aux", "adjusted_aux")
+        assert not any(name in repr(a) for name in sums)
+        assert not any(name in trace_to_json(a) for name in sums)
+        assert dataclasses.replace(a, contracted_aux=(0,) * len(a.anchors)) == a
+
+    @pytest.mark.parametrize(
+        "g",
+        [px.path_graph(7), px.cycle_graph(12), px.extremal_graph(px.ExtremalParams(20, 3, 8))],
+        ids=["P7", "C12", "extremal"],
+    )
+    def test_trace_sums_match_floyd_warshall_on_shapes(self, g):
+        _check_trace_sums(px.build_construction(g))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            px.path_graph(7),
+            px.cycle_graph(12),
+            px.extremal_graph(px.ExtremalParams(20, 3, 8)),
+            px.sample_corpus(1729, 1, 60)[0],
+        ],
+        ids=["P7", "C12", "extremal", "random60"],
+    )
+    def test_certifiers_do_no_distance_work(self, monkeypatch, g):
+        from proxrem import construction
+
+        trace, inv = px.build_construction(g), px.invariant_summary(g)
+        expected = (
+            px.certify_proximity_chain(trace, inv),
+            px.certify_remoteness_chain(trace, inv),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a certifier computed a distance")
+
+        for module, name in (
+            (construction, "_bfs"),
+            (construction, "_ball"),
+            (construction, "_tree_sigmas"),
+            (construction, "weighted_transmissions"),
+            (construction, "all_pairs_distances"),
+            (graphs, "_transmissions_bigint"),
+            (graphs, "_transmissions_scipy"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        assert (
+            px.certify_proximity_chain(trace, inv),
+            px.certify_remoteness_chain(trace, inv),
+        ) == expected
 
 
 class TestBoundReport:

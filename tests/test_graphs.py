@@ -14,7 +14,7 @@ from proxrem.graphs import (
     ParseError,
     _transmissions_bigint,
     _transmissions_scipy,
-    tree_transmissions,
+    _tree_sigmas,
     weighted_transmissions,
 )
 
@@ -245,7 +245,7 @@ class TestBigIntKernel:
         assert weighted_transmissions(k1, [5]) == (0,)
         assert px.all_pairs_distances(k1).transmissions == (0,)
         # a star has one anchor, so F is K1 and that anchor is w0
-        trace = px.build_construction(px.star_graph(3), px.all_pairs_distances(px.star_graph(3)))
+        trace = px.build_construction(px.star_graph(3))
         assert trace.aux.n == 1 and trace.w0 == trace.anchors[0] == 0
 
     def test_zero_weights(self):
@@ -509,15 +509,28 @@ class TestBall:
             assert sorted(reached) == [v for v in range(g.n) if dist[v] < before[v] or v == s]
 
 
+def _rooted(t, root):
+    """Parents and transmissions of ``t`` rooted at ``root``, as the
+    construction reads them: one BFS roots the edges, one rerooting pass
+    sums them."""
+    from proxrem.construction import _tree_edges
+
+    edges = _tree_edges(t, root)
+    parent = [-1] * t.n
+    for child, up in edges:
+        parent[child] = up
+    return parent, _tree_sigmas(edges, t.n, [1] * t.n)
+
+
 class TestTreeDistances:
     """T's distances as the construction reads them: parents and
-    transmissions of a rooted tree, rerooted from one BFS."""
+    transmissions of a rooted tree, rerooted along the edges of one BFS."""
 
     @given(labeled_trees(max_order=30), st.data())
     @settings(max_examples=80)
     def test_matches_floyd_warshall(self, t, data):
         root = data.draw(st.integers(0, t.n - 1))
-        parent, trans = tree_transmissions(t, root)
+        parent, trans = _rooted(t, root)
         fw = floyd_warshall(t)
         assert trans == [sum(row) for row in fw]
         assert parent[root] == -1
@@ -527,7 +540,7 @@ class TestTreeDistances:
                 assert fw[root][parent[v]] == fw[root][v] - 1
 
     def test_order_one(self):
-        assert tree_transmissions(px.graph_from_edges(1, []), 0) == ([-1], [0])
+        assert _rooted(px.graph_from_edges(1, []), 0) == ([-1], [0])
 
     @pytest.mark.parametrize(
         "g",
@@ -535,15 +548,15 @@ class TestTreeDistances:
         ids=["cycle", "n-1_edges_disconnected"],
     )
     def test_non_tree_rejected(self, g):
-        with pytest.raises(ValueError, match="tree"):
-            tree_transmissions(g, 0)
+        with pytest.raises(px.ConstructionError, match="^result is not a spanning tree$"):
+            _rooted(g, 0)
 
     @pytest.mark.parametrize(
         "t", [px.path_graph(300), px.star_graph(299)], ids=["path", "star"]
     )
     def test_deep_and_shallow_trees_match_bfs(self, t):
         root = t.n // 2
-        parent, trans = tree_transmissions(t, root)
+        parent, trans = _rooted(t, root)
         assert trans == [sum(graphs._bfs(t.adj, v)) for v in range(t.n)]
         depth = graphs._bfs(t.adj, root)
         assert all(depth[parent[v]] == depth[v] - 1 for v in range(t.n) if v != root)

@@ -12,6 +12,7 @@ import proxrem as px
 from proxrem import oracle
 from proxrem.cli import main
 from proxrem.construction import bound_verdicts
+from proxrem.graphs import _tree_sigmas
 from proxrem.weighted import any_vertex_bound, median_bound
 from proxrem.oracle import (
     BoundCheckReport,
@@ -20,7 +21,6 @@ from proxrem.oracle import (
     _compositions,
     _decode_edges,
     _prufer_transmissions,
-    _tree_sigmas,
     instance_csv_rows,
     parallel_map,
     sweep_instance_count,

@@ -46,6 +46,13 @@ class TestWeightFunction:
         with pytest.raises(px.ParseError, match="zero denominator"):
             px.WeightFunction.from_lines("0 1/0\n", 3)
 
+    def test_from_lines_repeated_vertex(self):
+        # a second line for one vertex would silently override the first
+        with pytest.raises(px.ParseError, match=r"^line 2: vertex 0 repeats line 1: '0 5/1'$"):
+            px.WeightFunction.from_lines("0 1/1\n0 5/1\n1 2/1", 2)
+        with pytest.raises(px.ParseError, match="^line 4: vertex 1 repeats line 2: "):
+            px.WeightFunction.from_lines("# w\n1 1/2\n\n1 1/2\n", 3)
+
     @pytest.mark.parametrize("text", ["0\n", "0 1 2\n", "x 1\n", "0 1/2/3\n"])
     def test_from_lines_malformed_line(self, text):
         with pytest.raises(px.ParseError, match="line 1"):
