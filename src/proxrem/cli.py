@@ -6,8 +6,9 @@ bounds, optionally with the certified inequality chains), ``extremal``
 
 Exit codes: 0 success, 1 a verified claim failed (counterexample found),
 2 usage or input error (an unreadable path, a disconnected graph or one
-above ``graphs.MAX_ORDER`` vertices, an ``extremal`` order above that cap
-and a sweep above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
+above ``graphs.MAX_ORDER`` vertices, an ``extremal`` order above that cap,
+an ``extremal`` graph above ``extremal.MAX_GRAPH_EDGES`` edges and a sweep
+above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
 error: any other exception, reported as one ``internal error:`` line on
 stderr so that a crash never reads as a counterexample.  ``compute`` and
 ``verify`` read G's transmissions, which come with no n×n array;
@@ -20,7 +21,9 @@ diameter, is checked without them.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays
-deterministic.
+deterministic.  ``verify`` prints the text of ``report.verify_text``; the
+other JSON documents go through ``json.dumps(indent=2)``, which gives the
+same bytes for the same document.
 """
 
 from __future__ import annotations
@@ -54,8 +57,12 @@ def _emit(doc: dict, timings: dict | None) -> None:
 def _load_graph(path: str) -> tuple[Graph, DistanceOracle]:
     """Parse ``path`` into G and its distance oracle, and reject a
     disconnected graph from vertex 0's BFS row, in O(n+m), before any
-    all-pairs work."""
-    g = parse_graph(Path(path).read_text())
+    all-pairs work.  The file is opened by its name as given: ``pathlib``
+    would intern each component of every path it parses, and a process
+    that checks thousands of files grows the interpreter's table of
+    interned strings for good."""
+    with open(path) as fh:
+        g = parse_graph(fh.read())
     d = all_pairs_distances(g)
     if not d.connected:
         raise ParseError("input graph is disconnected")
@@ -81,8 +88,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g, d = _load_graph(args.input)
     report = bound_report(g, include_chains=args.chain, oracle=d)
-    timings = {"seconds": time.perf_counter() - t0} if args.timings else None
-    _emit(rpt.verify_document(g, report, args.input), timings)
+    seconds = time.perf_counter() - t0 if args.timings else None
+    print(rpt.verify_text(g, report, args.input, seconds))
     return EXIT_OK if report.all_hold() else EXIT_CLAIM_FAILED
 
 

@@ -258,7 +258,7 @@ def build_construction(g: Graph) -> ConstructionTrace:
 
     # adding q at w0 cannot dethrone it, but the claim is checked, not trusted
     to_w0 = _bfs(aux.adj, w0_pos)
-    sigma_adj = tuple(s + q * d for s, d in zip(sigma, to_w0))
+    sigma_adj = tuple([s + q * d for s, d in zip(sigma, to_w0)])
     _require(
         sigma_adj[w0_pos] == min(sigma_adj),
         "chosen median lost medianhood after the q adjustment",
@@ -271,14 +271,14 @@ def build_construction(g: Graph) -> ConstructionTrace:
         Delta=Delta,
         anchors=tuple(anchors),
         tree=tree,
-        parent=tuple(up.get(v, -1) for v in range(g.n)),
+        parent=tuple([up.get(v, -1) for v in range(g.n)]),
         nearest_anchor=assignment,
         weights=counts,
         aux=aux,
         q=q,
         w0=w0,
         tree_summary=summarize_transmissions(_tree_sigmas(post_order, g.n, [1] * g.n)),
-        contracted_tree=tuple(sigma_c_tree[b] for b in anchors),
+        contracted_tree=tuple([sigma_c_tree[b] for b in anchors]),
         contracted_aux=sigma,
         adjusted_aux=sigma_adj,
     )
@@ -297,32 +297,43 @@ def degree_range_bounds(n: int, delta: int, Delta: int) -> DegreeRangeBounds:
     ``pi <= 3(n-Delta)^2 / (2(n-1)(delta+1)) + 13/2``; otherwise
     ``pi <= 3(n^2 - 2 Delta^2) / (4(n-1)(delta+1)) + 35/4``; and always
     ``rho <= 3(n^2 - Delta^2) / (2(n-1)(delta+1)) + 7``.
+
+    Each is one ``Fraction`` of integers over the form's denominator
+    ``2(n-1)(delta+1)`` or ``4(n-1)(delta+1)``, the constant folded in.
     """
     if n < 2 or not (1 <= delta <= Delta <= n - 1):
         raise ValueError(f"invalid parameters (n={n}, delta={delta}, Delta={Delta})")
+    m = (n - 1) * (delta + 1)
     if 2 * (Delta + 1) > n:
-        pi = Fraction(3 * (n - Delta) ** 2, 2 * (n - 1) * (delta + 1)) + Fraction(13, 2)
+        pi = Fraction(3 * (n - Delta) ** 2 + 13 * m, 2 * m)
         case = "large-Delta"
     else:
-        pi = Fraction(3 * (n * n - 2 * Delta * Delta), 4 * (n - 1) * (delta + 1)) + Fraction(35, 4)
+        pi = Fraction(3 * (n * n - 2 * Delta * Delta) + 35 * m, 4 * m)
         case = "small-Delta"
-    rho = Fraction(3 * (n * n - Delta * Delta), 2 * (n - 1) * (delta + 1)) + 7
+    rho = Fraction(3 * (n * n - Delta * Delta) + 14 * m, 2 * m)
     return DegreeRangeBounds(pi, rho, case)
 
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One certified inequality ``lhs <= rhs`` with exact values."""
+    """One certified inequality ``lhs <= rhs`` with exact values.
+
+    A side is an ``int`` where the quantity is an integer sum (σ_T,
+    σ_c,T, 3·σ_c,F, σ + 2(n−1), …) and a ``Fraction`` where it is a
+    rational closed form or an average; never a float.  Reports render
+    either as ``p/q``.
+    """
 
     name: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Fraction | int
+    rhs: Fraction | int
     holds: bool
 
 
 def _link(name: str, lhs: Fraction | int, rhs: Fraction | int) -> ChainLink:
-    lf, rf = Fraction(lhs), Fraction(rhs)
-    return ChainLink(name, lf, rf, lf <= rf)
+    """The link ``lhs <= rhs``, each side kept as computed: ``int`` and
+    ``Fraction`` compare exactly, so no side is converted."""
+    return ChainLink(name, lhs, rhs, lhs <= rhs)
 
 
 def _sigma_values(trace: ConstructionTrace, at: int) -> tuple[int, int, int, int]:
@@ -349,18 +360,17 @@ def certify_proximity_chain(
     n, delta, Delta = trace.order, trace.delta, trace.Delta
     sigma_t, sigma_c_t, sigma_c_f, sigma_adj_f = _sigma_values(trace, trace.w0)
 
-    big_n_d = Fraction(n + delta)
-    heavy = Fraction(Delta + 1)
-    floor = Fraction(delta + 1)
-    adjusted_bound = median_bound(n + trace.q, heavy, floor)
+    adjusted_bound = median_bound(n + trace.q, Delta + 1, delta + 1)
     # the paper splits the q-free form on n, not on heavy > total/2
     if 2 * (Delta + 1) > n:
-        q_free_bound = heavy_majority_bound(big_n_d, heavy, floor)
-        merged_bound = Fraction((n - Delta) ** 2, 2 * (delta + 1)) + Fraction(3 * (n - 1), 2)
+        q_free_bound = heavy_majority_bound(n + delta, Delta + 1, delta + 1)
+        # (n-Delta)^2 / (2(delta+1)) + 3(n-1)/2
+        merged_bound = Fraction((n - Delta) ** 2 + 3 * (n - 1) * (delta + 1), 2 * (delta + 1))
     else:
-        q_free_bound = heavy_minority_bound(big_n_d, heavy, floor)
-        merged_bound = Fraction(n * n - 2 * Delta * Delta, 4 * (delta + 1)) + Fraction(
-            9 * (n - 1), 4
+        q_free_bound = heavy_minority_bound(n + delta, Delta + 1, delta + 1)
+        # (n^2 - 2 Delta^2) / (4(delta+1)) + 9(n-1)/4
+        merged_bound = Fraction(
+            n * n - 2 * Delta * Delta + 9 * (n - 1) * (delta + 1), 4 * (delta + 1)
         )
     bounds = degree_range_bounds(n, delta, Delta)
     inv_t = trace.tree_summary
@@ -397,7 +407,8 @@ def certify_remoteness_chain(
 
     adjusted_bound = any_vertex_bound(n + trace.q, Delta + 1, delta + 1)
     q_free_bound = any_vertex_bound(n + delta, Delta + 1, delta + 1)
-    merged_bound = Fraction(n * n - Delta * Delta, 2 * (delta + 1)) + (n - 1)
+    # (n^2 - Delta^2) / (2(delta+1)) + (n-1)
+    merged_bound = Fraction(n * n - Delta * Delta + 2 * (n - 1) * (delta + 1), 2 * (delta + 1))
     bounds = degree_range_bounds(n, delta, Delta)
 
     return (
@@ -449,7 +460,8 @@ def bound_verdicts(n: int, delta: int, Delta: int, sigma_min: int, sigma_max: in
         name: bound - (proximity if name.startswith("proximity") else remoteness)
         for name, bound in bounds.items()
     }
-    holds = {name: s >= 0 for name, s in slack.items()}
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    holds = {name: s.numerator >= 0 for name, s in slack.items()}
     return BoundVerdicts(db.case, proximity, remoteness, bounds, slack, holds)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
@@ -151,7 +152,11 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u},{v}) out of range for order {n}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(tuple(tuple(sorted(s)) for s in nbrs))
+    # tuples here and on the verify path are built from lists: tuple() of a
+    # generator over-allocates and shrinks, and CPython 3.11 then keeps each
+    # freed tuple in the free list of its final length (2000 per length)
+    # until a full collection, which a lean process seldom runs
+    return Graph(tuple([tuple(sorted(s)) for s in nbrs]))
 
 
 def parse_graph(text: str) -> Graph:
@@ -164,7 +169,7 @@ def parse_graph(text: str) -> Graph:
     is ``1 + max vertex id``.  With a header, any endpoint ``>= n`` is an
     error.
     """
-    entries: list[tuple[int, int, int]] = []
+    ends: list[int] = []  # every data line's two ids, one after the other
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,28 +183,35 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
         if a < 0 or b < 0:
             raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
-        entries.append((lineno, a, b))
-    if not entries:
+        ends.append(a)
+        ends.append(b)
+    if not ends:
         raise ParseError("empty edge-list document")
 
-    head_n, head_m = entries[0][1], entries[0][2]
-    has_header = head_n >= 1 and head_m == len(entries) - 1
-    edge_entries = entries[1:] if has_header else entries
+    has_header = ends[0] >= 1 and ends[1] == len(ends) // 2 - 1
     if has_header:
-        n = head_n
+        n = ends[0]
+        del ends[:2]
     else:
-        n = 1 + max(max(a, b) for _, a, b in edge_entries)
+        n = 1 + max(ends)
     if n > MAX_ORDER:
         raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
 
-    edges: list[tuple[int, int]] = []
-    for lineno, a, b in edge_entries:
+    us, vs = ends[0::2], ends[1::2]
+    for i, (a, b) in enumerate(zip(us, vs), start=1 if has_header else 0):
         if a == b:
-            raise ParseError(f"line {lineno}: self-loop at vertex {a}")
+            raise ParseError(f"line {_data_line(text, i)}: self-loop at vertex {a}")
         if has_header and (a >= n or b >= n):
-            raise ParseError(f"line {lineno}: vertex id exceeds declared order {n}")
-        edges.append((a, b))
-    return graph_from_edges(n, edges)
+            raise ParseError(f"line {_data_line(text, i)}: vertex id exceeds declared order {n}")
+    return graph_from_edges(n, zip(us, vs))
+
+
+def _data_line(text: str, k: int) -> int:
+    """The line number of the ``k``-th data line (from 0) of an edge-list
+    document, counted as :func:`parse_graph` counts them.  The parse keeps
+    no line number per edge; an error message reads it again here."""
+    data = (i for i, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip())
+    return next(islice(data, k, None))
 
 
 def render_graph(g: Graph) -> str:

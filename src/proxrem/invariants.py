@@ -54,8 +54,8 @@ def summarize_transmissions(transmissions: Sequence[int]) -> InvariantSummary:
         transmissions=trans,
         proximity=Fraction(tmin, denom),
         remoteness=Fraction(tmax, denom),
-        median=tuple(v for v, s in enumerate(trans) if s == tmin),
-        antimedian=tuple(v for v, s in enumerate(trans) if s == tmax),
+        median=tuple([v for v, s in enumerate(trans) if s == tmin]),
+        antimedian=tuple([v for v, s in enumerate(trans) if s == tmax]),
     )
 
 
@@ -78,11 +78,12 @@ def order_proximity_bound(n: int) -> Fraction:
         raise ValueError("bound needs n >= 2")
     if n % 2 == 1:
         return Fraction(n + 1, 4)
-    return Fraction(n + 1, 4) + Fraction(1, 4 * (n - 1))
+    return Fraction(n * n, 4 * (n - 1))  # (n+1)/4 + 1/(4(n-1))
 
 
 def classical_bounds(n: int, delta: int) -> ClassicalBounds:
-    """All four order/min-degree bounds, as exact rationals.
+    """All four order/min-degree bounds, as exact rationals, each one
+    ``Fraction`` of integers with its constant folded in.
 
     ``rho_order = n/2``; ``pi_order`` is the parity-split value;
     ``rho_min_degree = 3n/(2(delta+1)) + 7/2``;
@@ -95,6 +96,6 @@ def classical_bounds(n: int, delta: int) -> ClassicalBounds:
     return ClassicalBounds(
         rho_order=Fraction(n, 2),
         pi_order=order_proximity_bound(n),
-        rho_min_degree=Fraction(3 * n, 2 * (delta + 1)) + Fraction(7, 2),
-        pi_min_degree=Fraction(3 * n, 4 * (delta + 1)) + 3,
+        rho_min_degree=Fraction(3 * n + 7 * (delta + 1), 2 * (delta + 1)),
+        pi_min_degree=Fraction(3 * n + 12 * (delta + 1), 4 * (delta + 1)),
     )

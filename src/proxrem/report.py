@@ -1,13 +1,22 @@
-"""Report documents: JSON-ready dicts and CSV rows.
+"""Report documents: JSON-ready dicts, the ``verify`` text, and CSV rows.
 
-Every rational is serialized as an exact ``p/q`` string; floats never
+Every rational is serialized as an exact ``p/q`` string, from the
+``numerator`` and ``denominator`` that ``int`` and ``Fraction`` share, so
+an integral value held as an ``int`` prints as ``n/1``; floats never
 appear.  Key order is fixed so identical inputs yield byte-identical
 output regardless of parallelism.
+
+``verify`` prints one document per graph, so :func:`verify_text` writes
+its JSON text directly, byte for byte what ``json.dumps(doc, indent=2)``
+gives for the equivalent dict, whose pure-Python indent encoder would
+otherwise cost more than the small graph itself.  The other documents
+are dicts, printed once per process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .construction import BoundReport, ChainLink
@@ -20,8 +29,7 @@ SCHEMA_VERSION = "1"
 
 
 def frac_str(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def invariants_block(inv: InvariantSummary) -> dict:
@@ -37,54 +45,61 @@ def invariants_block(inv: InvariantSummary) -> dict:
     }
 
 
-def chain_block(links: Iterable[ChainLink]) -> list[dict]:
-    return [
-        {
-            "name": link.name,
-            "lhs": frac_str(link.lhs),
-            "rhs": frac_str(link.rhs),
-            "holds": link.holds,
-        }
-        for link in links
-    ]
-
-
-def bounds_block(report: BoundReport) -> dict:
-    block: dict = {
-        "delta": report.delta,
-        "Delta": report.Delta,
-        "case": report.case,
-        "proximity": frac_str(report.proximity),
-        "remoteness": frac_str(report.remoteness),
-        "bounds": {k: frac_str(v) for k, v in report.bounds.items()},
-        "slack": {k: frac_str(v) for k, v in report.slack.items()},
-        "holds": dict(report.holds),
-        "all_hold": report.all_hold(),
-    }
-    if report.proximity_chain is not None:
-        block["proximity_chain"] = chain_block(report.proximity_chain)
-    if report.remoteness_chain is not None:
-        block["remoteness_chain"] = chain_block(report.remoteness_chain)
-    return block
-
-
-def _document(source: str, g: Graph) -> dict:
+def compute_document(g: Graph, inv: InvariantSummary, source: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "input": {"source": source, "order": g.n, "edges": g.edge_count()},
+        "invariants": invariants_block(inv),
     }
 
 
-def compute_document(g: Graph, inv: InvariantSummary, source: str) -> dict:
-    doc = _document(source, g)
-    doc["invariants"] = invariants_block(inv)
-    return doc
+def _fraction_entries(values: dict[str, Fraction]) -> str:
+    return ",\n".join(f'      "{k}": "{v.numerator}/{v.denominator}"' for k, v in values.items())
 
 
-def verify_document(g: Graph, report: BoundReport, source: str) -> dict:
-    doc = _document(source, g)
-    doc["verification"] = bounds_block(report)
-    return doc
+def _chain_text(key: str, links: Iterable[ChainLink]) -> str:
+    items = ",\n".join(
+        f'      {{\n        "name": "{link.name}",\n'
+        f'        "lhs": "{link.lhs.numerator}/{link.lhs.denominator}",\n'
+        f'        "rhs": "{link.rhs.numerator}/{link.rhs.denominator}",\n'
+        f'        "holds": {"true" if link.holds else "false"}\n      }}'
+        for link in links
+    )
+    return f',\n    "{key}": [\n{items}\n    ]'
+
+
+def verify_text(g: Graph, report: BoundReport, source: str, seconds: float | None = None) -> str:
+    """The ``verify`` document as JSON text, without a final newline:
+    ``schema_version``, ``input``, ``verification`` with the six bounds,
+    their slack and verdicts and each chain that was certified, then
+    ``timings`` when ``seconds`` is given.
+
+    Equal to ``json.dumps(doc, indent=2)`` of the same document as a dict
+    (the tests keep that dict as the reference): ``source`` is escaped by
+    the encoder ``json.dumps`` uses, and every other string is a name
+    fixed in the code.
+    """
+    r = report
+    holds = ",\n".join(f'      "{k}": {"true" if v else "false"}' for k, v in r.holds.items())
+    chains = ""
+    if r.proximity_chain is not None:
+        chains += _chain_text("proximity_chain", r.proximity_chain)
+    if r.remoteness_chain is not None:
+        chains += _chain_text("remoteness_chain", r.remoteness_chain)
+    timings = "" if seconds is None else f',\n  "timings": {{\n    "seconds": {seconds!r}\n  }}'
+    return (
+        f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n'
+        f'  "input": {{\n    "source": {encode_basestring_ascii(source)},\n'
+        f'    "order": {g.n},\n    "edges": {g.edge_count()}\n  }},\n'
+        f'  "verification": {{\n    "delta": {r.delta},\n    "Delta": {r.Delta},\n'
+        f'    "case": "{r.case}",\n'
+        f'    "proximity": "{r.proximity.numerator}/{r.proximity.denominator}",\n'
+        f'    "remoteness": "{r.remoteness.numerator}/{r.remoteness.denominator}",\n'
+        f'    "bounds": {{\n{_fraction_entries(r.bounds)}\n    }},\n'
+        f'    "slack": {{\n{_fraction_entries(r.slack)}\n    }},\n'
+        f'    "holds": {{\n{holds}\n    }},\n'
+        f'    "all_hold": {"true" if r.all_hold() else "false"}{chains}\n  }}{timings}\n}}'
+    )
 
 
 def sweep_document(report: LemmaSweepReport) -> dict:

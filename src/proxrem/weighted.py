@@ -4,13 +4,15 @@ Weighted distances, weighted medians, branch weights with the
 branch-weight characterization of tree medians, and the closed-form
 upper bounds on the weighted distance of a median vertex (and of an
 arbitrary vertex) under a floor-``k`` weight profile with one designated
-heavy vertex.  All arithmetic is exact rational.
+heavy vertex.  All arithmetic is exact rational: each closed form is one
+``Fraction`` of integer numerator and denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Literal
 
 from .graphs import DistanceOracle, Graph, ParseError, _bfs, is_connected
@@ -181,14 +183,36 @@ class WeightProfile:
         return int((self.total - self.heavy) / self.floor)
 
 
-def heavy_majority_bound(total: Fraction, heavy: Fraction, floor: Fraction) -> Fraction:
-    """``(N-L)(N-L+k) / (2k)`` as a bare formula (no profile validation)."""
-    return (total - heavy) * (total - heavy + floor) / (2 * floor)
+def _common_numerators(
+    total: RationalLike, heavy: RationalLike, floor: RationalLike
+) -> tuple[int, int, int, int]:
+    """``(a, b, c, d)`` with ``N, L, k = a/d, b/d, c/d`` over one common
+    denominator ``d``, so that a closed form is a single ``Fraction`` of
+    integers.  For ints ``d`` is 1 and no ``Fraction`` is built."""
+    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (total, heavy, floor)]
+    d = lcm(*(f.denominator for f in fs))
+    a, b, c = (f.numerator * (d // f.denominator) for f in fs)
+    return a, b, c, d
 
 
-def heavy_minority_bound(total: Fraction, heavy: Fraction, floor: Fraction) -> Fraction:
-    """``(N^2 - 2L^2) / (4k) + (N+L)/2`` as a bare formula."""
-    return (total * total - 2 * heavy * heavy) / (4 * floor) + (total + heavy) / 2
+def _majority(a: int, b: int, c: int, d: int) -> Fraction:
+    return Fraction((a - b) * (a - b + c), 2 * c * d)
+
+
+def _minority(a: int, b: int, c: int, d: int) -> Fraction:
+    return Fraction(a * a - 2 * b * b + 2 * c * (a + b), 4 * c * d)
+
+
+def heavy_majority_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
+    """``(N-L)(N-L+k) / (2k)`` as a bare formula (no profile validation).
+    Over a common denominator ``d`` it is ``(a-b)(a-b+c) / (2cd)``."""
+    return _majority(*_common_numerators(total, heavy, floor))
+
+
+def heavy_minority_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
+    """``(N^2 - 2L^2) / (4k) + (N+L)/2`` as a bare formula.  Over a common
+    denominator ``d`` it is ``(a^2 - 2b^2 + 2c(a+b)) / (4cd)``."""
+    return _minority(*_common_numerators(total, heavy, floor))
 
 
 def median_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
@@ -196,20 +220,19 @@ def median_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) 
 
     Case split at ``heavy > total/2``: the heavy-majority form is tight
     (attained by :func:`witness_path`); the heavy-minority form is an
-    upper bound only.  Arguments become ``Fraction`` first, so the result
-    is exact for plain ints too.
+    upper bound only.  The result is one exact ``Fraction``, for plain
+    ints too.
     """
-    n, h, k = Fraction(total), Fraction(heavy), Fraction(floor)
-    if h > n / 2:
-        return heavy_majority_bound(n, h, k)
-    return heavy_minority_bound(n, h, k)
+    a, b, c, d = _common_numerators(total, heavy, floor)
+    return (_majority if 2 * b > a else _minority)(a, b, c, d)
 
 
 def any_vertex_bound(total: RationalLike, heavy: RationalLike, floor: RationalLike) -> Fraction:
     """Upper bound ``(N-L)(N+L-k) / (2k)`` on the weighted distance of an
-    arbitrary vertex; attained by the far end of :func:`witness_path`."""
-    n, h, k = Fraction(total), Fraction(heavy), Fraction(floor)
-    return (n - h) * (n + h - k) / (2 * k)
+    arbitrary vertex; attained by the far end of :func:`witness_path`.
+    Over a common denominator ``d`` it is ``(a-b)(a+b-c) / (2cd)``."""
+    a, b, c, d = _common_numerators(total, heavy, floor)
+    return Fraction((a - b) * (a + b - c), 2 * c * d)
 
 
 WitnessMode = Literal["proximity", "remoteness"]

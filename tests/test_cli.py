@@ -136,6 +136,52 @@ class TestVerify:
         chains = doc["verification"]["proximity_chain"] + doc["verification"]["remoteness_chain"]
         assert chains and all(link["holds"] for link in chains)
 
+    @pytest.mark.parametrize("make", [lambda: px.extremal_graph(px.ExtremalParams(20, 3, 8)),
+                                      lambda: px.path_graph(7)], ids=["extremal-20-3-8", "p7"])
+    def test_fraction_budget(self, capsys, tmp_path, monkeypatch, make):
+        # integral chain values stay ints and every closed form is one
+        # Fraction of integers: 31 constructions on both graphs under
+        # Python 3.11, whose Fraction arithmetic calls the constructor
+        f = tmp_path / "g.edges"
+        f.write_text(px.render_graph(make()))
+        calls = 0
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        code, out, _ = _run(capsys, "verify", "--chain", str(f))
+        monkeypatch.undo()
+        assert code == 0 and json.loads(out)["verification"]["all_hold"] is True
+        assert 0 < calls <= 31
+
+    def test_verify_loads_no_module_after_import(self, tmp_path):
+        # verify-large processes are bound by start-up: checking and
+        # rendering must import nothing that ``import proxrem.cli`` and
+        # argument parsing (argparse's gettext imports locale) did not
+        paths = []
+        for name, g in (("p7", px.path_graph(7)),
+                        ("g2083", px.extremal_graph(px.ExtremalParams(20, 3, 8)))):
+            paths.append(str(tmp_path / f"{name}.edges"))
+            Path(paths[-1]).write_text(px.render_graph(g))
+        probe = (
+            "import sys\nimport proxrem.cli\n"
+            "proxrem.cli._parser().parse_args(['verify', '--chain', 'g.edges'])\n"
+            "before = set(sys.modules)\n"
+            f"for f in {paths!r}:\n"
+            "    assert proxrem.cli.main(['verify', '--chain', f]) == 0\n"
+            "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+        )
+        src = str(Path(px.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) > 2
+        assert proc.stderr.split() == []
+
     def test_disconnected_exits_2(self, capsys, tmp_path, no_apsp):
         f = tmp_path / "disc.edges"
         f.write_text("0 1\n2 3\n")
@@ -226,12 +272,13 @@ class TestExtremal:
         [
             (["--n", "100000004", "--delta", "3", "--Delta", "4", "--sharpness"], "--n"),
             (["--n", str(MAX_ORDER + 4), "--delta", "3", "--Delta", "4"], "--n"),
+            (["--n", str(MAX_ORDER), "--delta", "3", "--Delta", str(MAX_ORDER - 4)], "--Delta"),
             (["--delta", "3", "--sweep", "16", "200000"], "--sweep"),
             (["--delta", "3", "--sweep", str(MAX_ORDER + 1), str(MAX_ORDER + 1)], "--sweep"),
             (["--delta", "3", "--sweep", "16", "700"], "--sweep"),
             (["--delta", "-1", "--sweep", "16", "20"], "--delta -1"),
         ],
-        ids=["sharpness-order", "graph-order", "sweep-order", "sweep-order-one-member",
+        ids=["sharpness-order", "graph-order", "graph-edges", "sweep-order", "sweep-order-one-member",
              "sweep-work", "sweep-delta-minus-1"],
     )
     def test_over_budget_exits_2_before_allocating(self, capsys, argv, flag):
@@ -257,6 +304,18 @@ class TestExtremal:
         monkeypatch.setattr(extremal, "MAX_SWEEP_WORK", work)
         code, out, _ = _run(capsys, "extremal", "--delta", "3", "--sweep", "16", "120")
         assert code == 0 and len(out.splitlines()) == 1 + 1641
+
+    def test_graph_edge_limit_is_inclusive(self, capsys, monkeypatch):
+        from proxrem import extremal
+
+        edges = px.extremal_graph(px.ExtremalParams(20, 3, 8)).edge_count()
+        monkeypatch.setattr(extremal, "MAX_GRAPH_EDGES", edges - 1)
+        code, out, err = _run(capsys, "extremal", "--n", "20", "--delta", "3", "--Delta", "8")
+        assert (code, out) == (2, "")
+        assert err == f"error: --n 20 --Delta 8: the graph has {edges} edges > {edges - 1}\n"
+        monkeypatch.setattr(extremal, "MAX_GRAPH_EDGES", edges)
+        code, out, _ = _run(capsys, "extremal", "--n", "20", "--delta", "3", "--Delta", "8")
+        assert code == 0 and px.parse_graph(out).edge_count() == edges
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.edges"

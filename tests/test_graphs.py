@@ -85,6 +85,56 @@ class TestParse:
         text = px.render_graph(px.cycle_graph(3))
         assert text == "3 3\n0 1\n0 2\n1 2\n"
 
+    @given(st.lists(st.sampled_from([
+        "0 1", "1 2", "2 0", "3 4", "1 1", "2 5", "5 3", "3 2", "4 0", "2 1 # edge", "",
+        "# note", "   ", "x y", "1 2 3", "-1 2", "\u2028", "0\x0c1",
+    ]), max_size=12), st.sampled_from(["", "3 2\n", "6 4\n", "5 3\n", "0 3\n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_equals_reference(self, lines, header):
+        # the parse keeps no line number per edge; every error still names
+        # the line the reference, which kept them, names
+        text = header + "\n".join(lines)
+        assert _outcome(px.parse_graph, text) == _outcome(_parse_with_line_numbers, text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _parse_with_line_numbers(text):
+    """The reference parse: each data line kept as ``(lineno, u, v)``."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
+        if a < 0 or b < 0:
+            raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
+        entries.append((lineno, a, b))
+    if not entries:
+        raise ParseError("empty edge-list document")
+    has_header = entries[0][1] >= 1 and entries[0][2] == len(entries) - 1
+    edge_entries = entries[1:] if has_header else entries
+    n = entries[0][1] if has_header else 1 + max(max(a, b) for _, a, b in edge_entries)
+    if n > MAX_ORDER:
+        raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
+    for lineno, a, b in edge_entries:
+        if a == b:
+            raise ParseError(f"line {lineno}: self-loop at vertex {a}")
+        if has_header and (a >= n or b >= n):
+            raise ParseError(f"line {lineno}: vertex id exceeds declared order {n}")
+    return px.graph_from_edges(n, [(a, b) for _, a, b in edge_entries])
+
 
 class TestBasics:
     def test_degree_stats(self):
