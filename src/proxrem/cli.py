@@ -5,10 +5,10 @@ bounds, optionally with the certified inequality chains), ``extremal``
 (family generation and sharpness gaps), ``oracle`` (exhaustive sweeps).
 
 Exit codes: 0 success, 1 a verified claim failed (counterexample found),
-2 usage or input error (an unreadable path, a disconnected graph or one
-above ``graphs.MAX_ORDER`` vertices, an ``extremal`` order above that cap,
-an ``extremal`` graph above ``extremal.MAX_GRAPH_EDGES`` edges and a sweep
-above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
+2 usage or input error (an unreadable path, a disconnected graph, a
+document above ``graphs.MAX_ORDER`` vertices or ``graphs.MAX_EDGES`` edge
+lines, an ``extremal`` order above that cap or graph above that budget,
+and a sweep above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
 error: any other exception, reported as one ``internal error:`` line on
 stderr so that a crash never reads as a counterexample.  ``compute`` and
 ``verify`` read G's transmissions, which come with no n×n array;

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .construction import degree_range_bounds
 # all_pairs_distances is not called here; perfbench's tracer test checks this binding
 from .graphs import MAX_ORDER, Graph, all_pairs_distances, graph_from_edges  # noqa: F401
@@ -152,32 +153,20 @@ def extremal_block_sizes(p: ExtremalParams) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-#: Largest edge count of a family member that ``extremal --n … --Delta …``
-#: renders as a graph.  Building it costs Python sets of adjacency, about
-#: 1.3 µs and 170–300 bytes per edge.  Measured as processes on 2 cores with
-#: Python 3.11.7, ``--delta 3 --Delta n-4`` at n = 504, 1004 and 1404 has
-#: 1.2·10⁵, 5.0·10⁵ and 9.8·10⁵ edges and took 0.35, 0.66 and 1.29 s at 45,
-#: 105 and 304 MiB max RSS; ``--n 2000 --delta 400 --Delta 797``, 5.6·10⁵
-#: edges in five large blocks, took 0.82 s at 143 MiB.  At n = 10⁴ and
-#: Delta = n - 4 the member has 5·10⁷ edges, so the order cap alone does
-#: not bound it.
-MAX_GRAPH_EDGES = 500_000
-
-
 def extremal_graph(p: ExtremalParams) -> Graph:
     """Build the family member; order ``n``, degree extremes exactly
     ``(delta, Delta)``.
 
     Its edge count comes from the block sizes first: each block is a
     clique and consecutive blocks are fully joined.  Above
-    ``MAX_GRAPH_EDGES`` it is a ``ValueError``, raised before any edge is
+    ``graphs.MAX_EDGES`` it is a ``ValueError``, raised before any edge is
     built.
     """
     sizes = extremal_block_sizes(p)
     edges = sum(b * (b - 1) // 2 for b in sizes) + sum(a * b for a, b in zip(sizes, sizes[1:]))
-    if edges > MAX_GRAPH_EDGES:
+    if edges > graphs.MAX_EDGES:
         raise ValueError(
-            f"--n {p.n} --Delta {p.Delta}: the graph has {edges} edges > {MAX_GRAPH_EDGES}"
+            f"--n {p.n} --Delta {p.Delta}: the graph has {edges} edges > {graphs.MAX_EDGES}"
         )
     g = sequential_sum(SequentialSumSpec(sizes))
     assert g.n == p.n

@@ -9,58 +9,33 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
 #: single addition cannot collide with a real hop count, small enough to
 #: stay exact in int64 arithmetic.
 INF: int = 2**31 - 1
 
-#: The selection rule of :func:`_backend`, a pure function of the order n
-#: and vertex 0's BFS row.  Below ``_SCIPY_MIN_ORDER`` every graph takes the
-#: big-int kernel for its transmissions.  From there on, ``2·ecc(0)``
-#: decides: above ``_BITSET_MAX_LEVELS`` scipy, otherwise the big-int kernel
-#: again, so that numpy and scipy are imported only for a graph of long
-#: diameter.
+#: The level cap of :func:`_transmissions`, the one selection rule for
+#: every transmission kernel.  A connected graph takes the big-int kernel
+#: when ``2·ecc(0)``, which bounds both the diameter and the level count of
+#: a multi-source BFS, is at most this, and scipy above it.  Below order 25,
+#: ``2·ecc(0)`` is at most 46, so a small graph never reaches scipy.
 #:
-#: Measured on 2 cores, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, best of
-#: 3, transmissions only.  Below 25 the big-int kernel beats Python rows:
-#: the 180 graphs of order < 25 in the seed-1729 random corpus take 8 ms
-#: against 29 ms; per graph at order 16/20/24 (mean degree 3) 47/67/86 µs
-#: against 133/205/280 µs.  A numpy MS-BFS, since removed, against big
-#: ints, mean ms over random graphs: order 120, mean degree 3 0.53/0.71 and
-#: G(n, 0.3) 0.55/1.02; order 500, G(n, 0.1) 4.21/7.14; order 1000,
-#: 7.3/6.9 and G(n, 0.1) 28.5/18.5; order 2000 (the 12 ``verify-large``
-#: graphs of seeds 1729, 7 and 4242) 16–35 against 10–27; a sparse graph
-#: of order 10⁴ 913 against 786.  Big ints cost at most about 2× in
-#: process, a few ms, while a process that needs numpy pays its import:
-#: 234 ms against 70 ms for a bare interpreter.  The 320 graphs of order
-#: 25–60 of the seed-1729 corpus took 42 ms on numpy against 51 ms on big
-#: ints (best of 5), about 0.2 % of a ``certify-corpus`` pass, and at
-#: seeds 1729 and 7 they were all that made ``oracle bound-check --random
-#: 500 --max-n 60`` import numpy.
-_SCIPY_MIN_ORDER = 25
-
-#: Above this ``2·ecc(0)``, which bounds both the diameter and the level
-#: count of a multi-source BFS, a graph of order at least
-#: ``_SCIPY_MIN_ORDER`` takes scipy; a disconnected one has ecc(0) = INF.
-#: Big-int transmissions against scipy on grids of order 500, by
-#: 2·ecc(0): 86, 16.6 against 32.5 ms; 136, 14.8 against 11.2 ms; 254,
-#: 25.1 against 9.3 ms; on a 4×500 grid (1004) 681 against 182 ms.
-_BITSET_MAX_LEVELS = 32
-
-#: Above this ``2·ecc(0)``, :func:`weighted_transmissions` takes scipy
-#: rows in place of the big-int kernel; an order below 25 never reaches
-#: the cap.  The weighted kernel on the auxiliary graphs F of real
-#: constructions, against scipy, ms: F of order 157–2148 from sparse
-#: graphs of order 10³–10⁴, 2·ecc(0) 22–40, 0.16–0.89× as long; from grids, F of order 75–279 and 2·ecc(0) 34–66, 1.3–11.6
-#: against 0.5–7.8; order 425–839 and 88–110, 19.6–68.0 against 9.8–72.4;
-#: order 200 and 134, 15.4 against 1.6.  Below the cap F costs at most a
-#: few ms more, while a process that first reaches scipy here pays its
-#: import: 691 ms against 234 ms for numpy alone.
-_WEIGHTED_MAX_LEVELS = 64
+#: Measured in process on 2 cores, Python 3.11.7, scipy 1.17.1, best of 5
+#: with scipy already imported, big ints against scipy at ``2·ecc(0)`` = 64
+#: (62 for the smallest thick path): a broom (a path 0..32 with every other
+#: vertex on its middle) of order 2000, 12 against 391 ms, and of order
+#: 500, 2.6 against 13 ms; a thick path (32 layers, each a star, joined
+#: slot by slot) of order 2000, 55 against 307 ms, and of order 500, 5.9
+#: against 11 ms; both shapes at order 93, 0.57–0.87 against 0.48–0.53 ms.
+#: So scipy is faster there by at most 0.4 ms, while a process that
+#: reaches scipy pays for its import: 0.63 s against 0.07 s for a bare
+#: interpreter, median of 7.  Longer graphs favour scipy: a 4×500 grid
+#: (``2·ecc(0)`` = 1004) takes 411 ms on big ints against 137 ms.
+_MAX_LEVELS = 64
 
 #: Sources per batch of scipy's rows, 64·k with k = 1: a batch holds 64·k
 #: rows.  Weighted scipy rows on a 10×200 grid: 338 ms and 0.57·n² bytes
@@ -77,6 +52,17 @@ _BATCH_SOURCES = 64 * 1
 #: (m = 2n).  A larger document is refused before
 #: :func:`graph_from_edges` allocates its n adjacency sets.
 MAX_ORDER = 10_000
+
+#: Largest edge count a graph may have: :func:`parse_graph` refuses a
+#: document with more edge lines, and ``extremal`` a family member with
+#: more edges, before any adjacency is built.  A graph costs Python sets of
+#: adjacency, 170–300 bytes per edge.  Measured as processes on 2 cores with
+#: Python 3.11.7: ``verify`` on K1000 (499,500 edges, 3.9 MB) took 1.5 s and
+#: 99 MiB max RSS, 1.0 s of it in :func:`parse_graph`; ``extremal --delta 3
+#: --Delta n-4`` at n = 504, 1004 and 1404 renders 1.2·10⁵, 5.0·10⁵ and
+#: 9.8·10⁵ edges in 0.35, 0.66 and 1.29 s at 45, 105 and 304 MiB.  The
+#: order cap alone does not bound the edges: G(2000, ½) has about 10⁶.
+MAX_EDGES = 500_000
 
 
 class ParseError(ValueError):
@@ -120,17 +106,13 @@ class DistanceOracle:
     """Hop distances of one graph, with no n×n array.
 
     ``transmissions`` are every vertex's distance sum, exact, or ``None``
-    when the graph is disconnected; they are computed on first read and
-    cached.  ``row(v)`` is one BFS row from v, ``INF`` where unreachable.
+    when the graph is disconnected.  ``row(v)`` is one BFS row from v,
+    ``INF`` where unreachable.
     """
 
     connected: bool
+    transmissions: tuple[int, ...] | None
     _adj: Sequence[Sequence[int]] = field(repr=False)
-    _sum_rows: Callable[[], tuple[int, ...]] = field(repr=False)
-
-    @cached_property
-    def transmissions(self) -> tuple[int, ...] | None:
-        return self._sum_rows() if self.connected else None
 
     def row(self, v: int) -> list[int]:
         return _bfs(self._adj, v)
@@ -196,6 +178,8 @@ def parse_graph(text: str) -> Graph:
         n = 1 + max(ends)
     if n > MAX_ORDER:
         raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
+    if len(ends) // 2 > MAX_EDGES:
+        raise ParseError(f"{len(ends) // 2} edge lines exceed the limit of {MAX_EDGES}")
 
     us, vs = ends[0::2], ends[1::2]
     for i, (a, b) in enumerate(zip(us, vs), start=1 if has_header else 0):
@@ -251,8 +235,8 @@ def _ball(
     d(s, x) = d(s, w) + d(w, x) ≥ f(w) + d(w, x) ≥ f(x).
 
     The one hand-rolled BFS in the package; every other distance comes
-    from here, from the big-int multi-source BFS, from the scipy backend or,
-    on a tree, from :func:`_tree_sigmas`.
+    from here, from a transmission kernel that :func:`_transmissions`
+    picks, or, on a tree, from :func:`_tree_sigmas`.
     """
     if dist is None:
         dist = [INF] * len(adj)
@@ -378,44 +362,37 @@ def _transmissions_scipy(
     return tuple(trans.tolist())
 
 
-def _backend(n: int, row0: Sequence[int]) -> str:
-    """``"bigint"`` or ``"scipy"``: the kernel for the transmissions of a
-    graph of order ``n`` whose vertex 0 has BFS row ``row0``.  Twice the
-    eccentricity of vertex 0 bounds the diameter, and is ``INF``-sized when
-    the graph is disconnected."""
-    if n < _SCIPY_MIN_ORDER or 2 * max(row0) <= _BITSET_MAX_LEVELS:
-        return "bigint"
-    return "scipy"
+def _transmissions(
+    adj: Sequence[Sequence[int]], weights: Sequence[int] | None = None
+) -> tuple[int, ...] | None:
+    """Transmissions, or weighted transmissions, of a graph, or ``None``
+    when vertex 0's BFS row shows it disconnected; no kernel runs then.
+    The big-int kernel runs while twice the eccentricity of vertex 0, which
+    bounds the diameter, is at most ``_MAX_LEVELS``, and scipy above it;
+    both give identical sums (unit tests cross-check them)."""
+    row0 = _bfs(adj, 0)
+    if INF in row0:
+        return None
+    if 2 * max(row0) > _MAX_LEVELS:
+        return _transmissions_scipy(adj, weights)
+    return _transmissions_bigint(adj, weights)
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
-    """G's hop distances: its connectivity now, from vertex 0's BFS row, and
-    its transmissions on first read.
-
-    :func:`_backend` picks the transmissions' kernel from the order and that
-    row; both kernels give identical transmissions (unit tests cross-check
-    them).
-    """
-    adj = g.adj
-    row0 = _bfs(adj, 0)
-    trans = _transmissions_bigint if _backend(g.n, row0) == "bigint" else _transmissions_scipy
-    return DistanceOracle(INF not in row0, adj, lambda: trans(adj))
+    """G's hop distances: its transmissions from :func:`_transmissions`,
+    and so its connectivity, computed now."""
+    trans = _transmissions(g.adj)
+    return DistanceOracle(trans is not None, trans, g.adj)
 
 
 def weighted_transmissions(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     """σ_w(v) = Σ_u w_u·d(u, v) for every vertex v of a connected graph,
-    for nonnegative integer weights ``w``, exact and with no n×n array.
-
-    The big-int kernel runs unless twice the eccentricity of vertex 0
-    exceeds ``_WEIGHTED_MAX_LEVELS``; then scipy rows do.  Below order 25
-    that cannot happen.
-    """
-    row0 = _bfs(g.adj, 0)
-    if INF in row0:
+    for nonnegative integer weights ``w``, exact and with no n×n array,
+    from :func:`_transmissions`."""
+    sigma = _transmissions(g.adj, weights)
+    if sigma is None:
         raise ValueError("weighted transmissions need a connected graph")
-    if 2 * max(row0) > _WEIGHTED_MAX_LEVELS:
-        return _transmissions_scipy(g.adj, weights)
-    return _transmissions_bigint(g.adj, weights)
+    return sigma
 
 
 def _tree_sigmas(edges: Sequence[tuple[int, int]], m: int, w: Sequence[int]) -> list[int]:

@@ -204,6 +204,22 @@ class TestVerify:
         assert json.loads(out)["verification"]["all_hold"] is True
         assert loaded == []
 
+    def test_chain_at_the_level_cap_never_imports_scipy(self, tmp_path, capsys, monkeypatch):
+        # a broom of order 2000, a path 0..32 with every other vertex hung
+        # on its middle, so 2·ecc(0) = 64, the level cap: G takes big ints,
+        # and the output is the one the scipy kernel gives
+        edges = [(i, i + 1) for i in range(32)] + [(16, v) for v in range(33, 2000)]
+        f = tmp_path / "broom2000.edges"
+        f.write_text(px.render_graph(px.graph_from_edges(2000, edges)))
+        out, loaded = _numpy_and_scipy_after(
+            f"from proxrem.cli import main\nassert main(['verify', '--chain', {str(f)!r}]) == 0"
+        )
+        assert loaded == []
+        from proxrem import graphs
+
+        monkeypatch.setattr(graphs, "_transmissions_bigint", graphs._transmissions_scipy)
+        assert _run(capsys, "verify", "--chain", str(f)) == (0, out, "")
+
     def test_compute_on_k2_never_imports_numpy(self, tmp_path):
         f = tmp_path / "k2.edges"
         f.write_text("0 1\n")
@@ -306,14 +322,14 @@ class TestExtremal:
         assert code == 0 and len(out.splitlines()) == 1 + 1641
 
     def test_graph_edge_limit_is_inclusive(self, capsys, monkeypatch):
-        from proxrem import extremal
+        from proxrem import graphs
 
         edges = px.extremal_graph(px.ExtremalParams(20, 3, 8)).edge_count()
-        monkeypatch.setattr(extremal, "MAX_GRAPH_EDGES", edges - 1)
+        monkeypatch.setattr(graphs, "MAX_EDGES", edges - 1)
         code, out, err = _run(capsys, "extremal", "--n", "20", "--delta", "3", "--Delta", "8")
         assert (code, out) == (2, "")
         assert err == f"error: --n 20 --Delta 8: the graph has {edges} edges > {edges - 1}\n"
-        monkeypatch.setattr(extremal, "MAX_GRAPH_EDGES", edges)
+        monkeypatch.setattr(graphs, "MAX_EDGES", edges)
         code, out, _ = _run(capsys, "extremal", "--n", "20", "--delta", "3", "--Delta", "8")
         assert code == 0 and px.parse_graph(out).edge_count() == edges
 
@@ -512,6 +528,14 @@ class TestUsage:
         code, out, err = _run(capsys, command, str(f))
         assert code == 2 and out == ""
         assert "exceeds the limit" in err
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_edges_above_budget_exit_2(self, capsys, p5_file, monkeypatch, command, no_apsp):
+        from proxrem import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+        code, out, err = _run(capsys, command, p5_file)
+        assert (code, out, err) == (2, "", "error: 4 edge lines exceed the limit of 3\n")
 
     def test_unexpected_exception_exits_3(self, capsys, p5_file, monkeypatch):
         import proxrem.cli as cli_mod

@@ -308,7 +308,7 @@ class TestMemory:
         # T and the construction's stages must add no n×n array
         g = _sparse_order_1000()
         n = g.n
-        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._MAX_LEVELS
         tracemalloc.start()
         try:
             report = px.bound_report(g, include_chains=True)
@@ -329,7 +329,7 @@ class TestMemory:
         px.bound_report(_grid(3, 30), include_chains=True)
         g = make()
         n = g.n
-        assert (2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS) == bitset
+        assert (2 * max(graphs._bfs(g.adj, 0)) <= graphs._MAX_LEVELS) == bitset
         tracemalloc.start()
         try:
             report = px.bound_report(g, include_chains=True)
@@ -570,8 +570,8 @@ class TestDistanceReuse:
         assert g.n >= 25
         assert px.bound_report(g, include_chains=True).all_hold()
         assert len(oracles) == 1  # G; F has weighted transmissions only
-        # G's oracle caches its transmissions and nothing else
-        assert set(vars(oracles[0])) == {"connected", "_adj", "_sum_rows", "transmissions"}
+        # G's oracle holds its transmissions and nothing else
+        assert set(vars(oracles[0])) == {"connected", "transmissions", "_adj"}
 
     def test_trace_equality_ignores_distance_fields(self):
         g = px.cycle_graph(9)

@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,38 @@ class TestParse:
 
     def test_order_at_cap_accepted(self):
         assert px.parse_graph(f"{MAX_ORDER} 0").n == MAX_ORDER
+
+    def test_edge_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+        assert px.parse_graph("0 1\n1 2\n2 3\n").edge_count() == 3
+        # the header is no edge line, nor is a comment or a blank line
+        assert px.parse_graph("4 3\n0 1\n# note\n\n1 2\n2 3\n").edge_count() == 3
+        # a repeated edge is one more edge line
+        with pytest.raises(ParseError, match=r"^4 edge lines exceed the limit of 3$"):
+            px.parse_graph("0 1\n1 2\n2 3\n1 0\n")
+
+    def test_over_budget_document_builds_no_adjacency(self, monkeypatch):
+        # refused from the parsed ids alone: no adjacency is built, and the
+        # peak is a small multiple of the document's own size (about 14×;
+        # building the graph would take it to about 24×)
+        m = 20_000
+        doc = f"{MAX_ORDER} {m + 1}\n" + "".join(
+            f"{i % MAX_ORDER} {(7 * i + 1) % MAX_ORDER}\n" for i in range(m + 1)
+        )
+        monkeypatch.setattr(graphs, "MAX_EDGES", m)
+
+        def forbidden(*_):
+            raise AssertionError("adjacency built for a refused document")
+
+        monkeypatch.setattr(graphs, "graph_from_edges", forbidden)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"^{m + 1} edge lines exceed the limit of {m}$"):
+                px.parse_graph(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * len(doc)
 
     @given(connected_graphs())
     def test_render_round_trip(self, g):
@@ -167,6 +200,25 @@ class TestBasics:
         src = Path(px.__file__).parent
         with_scipy = sorted(f.name for f in src.glob("*.py") if "scipy" in f.read_text())
         assert with_scipy == ["graphs.py"]
+
+    def test_one_call_site_per_kernel_and_one_level_cap(self):
+        # one selection rule picks every transmission kernel
+        src = Path(px.__file__).parent
+        called = [
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for f in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(f.read_text()))
+            if isinstance(node, ast.Call)
+        ]
+        for kernel in KERNELS:
+            assert called.count(kernel) == 1, kernel
+        caps = [
+            node.id
+            for node in ast.walk(ast.parse(Path(graphs.__file__).read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id.endswith("_MAX_LEVELS")
+        ]
+        assert caps == ["_MAX_LEVELS"]
 
     def test_numpy_never_imported_at_module_level(self):
         # numpy is imported inside the functions that use it, so that a
@@ -335,6 +387,21 @@ def _broom(n, ecc):
     return px.graph_from_edges(n, [(i, i + 1) for i in range(ecc)] + [(mid, v) for v in range(ecc + 1, n)])
 
 
+#: (order, 2·ecc(0), kernel) on each side of the level cap.  Order 24
+#: cannot reach the cap, so its longest graph, a path (46 levels), stands in.
+LEVEL_CAP_CASES = [
+    (24, 46, "_transmissions_bigint"),
+    (40, graphs._MAX_LEVELS, "_transmissions_bigint"),
+    (40, graphs._MAX_LEVELS + 2, "_transmissions_scipy"),
+    (500, graphs._MAX_LEVELS, "_transmissions_bigint"),
+    (500, graphs._MAX_LEVELS + 2, "_transmissions_scipy"),
+    (2000, graphs._MAX_LEVELS, "_transmissions_bigint"),
+    (2000, graphs._MAX_LEVELS + 2, "_transmissions_scipy"),
+]
+LEVEL_CAP_IDS = ["small-order", "mid-order-at-cap", "mid-order-above-cap", "bigint-at-cap",
+                 "bigint-above-cap", "large-order-at-cap", "large-order-above-cap"]
+
+
 class TestDispatch:
     """Each side of every boundary of the selection rule: the chosen kernel
     runs, every other kernel fails if called, and the result is exact."""
@@ -348,15 +415,14 @@ class TestDispatch:
         # the big-int kernel, Python ints as bitsets
         g = px.graph_from_edges(300, [(i, (3 * i + 1) % 300) for i in range(300)]
                                 + [(i, i // 2) for i in range(1, 300)])
-        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
-        assert g.n >= graphs._SCIPY_MIN_ORDER
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._MAX_LEVELS
         expected = tuple(sum(graphs._bfs(g.adj, v)) for v in range(g.n))
         _only(monkeypatch, "_transmissions_bigint")
         assert px.all_pairs_distances(g).transmissions == expected
 
     def test_small_order_takes_bigint_and_python_rows(self, monkeypatch):
         # a row is one BFS, never the rows from every vertex
-        g = px.cycle_graph(graphs._SCIPY_MIN_ORDER - 1)
+        g = px.cycle_graph(24)
         expected = floyd_warshall(g)
         _only(monkeypatch, "_transmissions_bigint")
         d = px.all_pairs_distances(g)
@@ -374,81 +440,46 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "n, kernel",
         [
-            (graphs._SCIPY_MIN_ORDER - 1, "_transmissions_bigint"),
-            (graphs._SCIPY_MIN_ORDER, "_transmissions_bigint"),
+            (24, "_transmissions_bigint"),
+            (25, "_transmissions_bigint"),
             (499, "_transmissions_bigint"),
             (500, "_transmissions_bigint"),
             (501, "_transmissions_bigint"),
         ],
     )
     def test_order_boundaries(self, monkeypatch, n, kernel):
-        # below the level cap every order takes big ints, 499 and 500 too,
-        # where a numpy kernel used to hand over
+        # below the level cap every order takes big ints: no rule reads the
+        # order, though 25 and 500 once handed over to numpy kernels
         rng = random.Random(n)
         chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
         g = px.graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]
                                 + [(u, v) for u, v in chords if u != v])
-        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._BITSET_MAX_LEVELS
+        assert 2 * max(graphs._bfs(g.adj, 0)) <= graphs._MAX_LEVELS
         expected = _transmissions_scipy(g.adj)
         _only(monkeypatch, kernel)
         assert px.all_pairs_distances(g).transmissions == expected
 
     @pytest.mark.parametrize(
-        "n, extra_levels, kernel",
-        [
-            (40, 0, "_transmissions_bigint"),
-            (40, 2, "_transmissions_scipy"),
-            (500, 0, "_transmissions_bigint"),
-            (500, 2, "_transmissions_scipy"),
-            (graphs._SCIPY_MIN_ORDER - 1, 2, "_transmissions_bigint"),
-        ],
-        ids=["mid-order-at-cap", "mid-order-above-cap", "bigint-at-cap", "bigint-above-cap", "small-order"],
+        "n, levels, kernel, weighted",
+        [(*case, weighted) for weighted in (False, True) for case in LEVEL_CAP_CASES],
+        ids=[prefix + name for prefix in ("", "weighted-") for name in LEVEL_CAP_IDS],
     )
-    def test_level_cap_boundary(self, monkeypatch, n, extra_levels, kernel):
-        # 2·ecc(0) at the cap, or at the cap + 2
-        g = _broom(n, graphs._BITSET_MAX_LEVELS // 2 + extra_levels // 2)
-        assert 2 * max(graphs._bfs(g.adj, 0)) == graphs._BITSET_MAX_LEVELS + extra_levels
-        expected = tuple(sum(graphs._bfs(g.adj, v)) for v in range(g.n))
-        _only(monkeypatch, kernel)
-        assert px.all_pairs_distances(g).transmissions == expected
-
-    @pytest.mark.parametrize(
-        "n, levels, kernel",
-        [
-            (graphs._SCIPY_MIN_ORDER - 1, 46, "_transmissions_bigint"),
-            (40, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
-            (40, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
-            (500, graphs._WEIGHTED_MAX_LEVELS, "_transmissions_bigint"),
-            (500, graphs._WEIGHTED_MAX_LEVELS + 2, "_transmissions_scipy"),
-        ],
-        ids=["small-order", "at-cap", "above-cap", "large-at-cap", "large-above-cap"],
-    )
-    def test_weighted_takes_bigint_unless_long(self, monkeypatch, n, levels, kernel):
-        # F's rule has its own cap
+    def test_level_cap_boundary(self, monkeypatch, n, levels, kernel, weighted):
+        # one rule for G and for F: 2·ecc(0) at the cap, or at the cap + 2
         g = _broom(n, levels // 2)
         assert 2 * max(graphs._bfs(g.adj, 0)) == levels
-        weights = [(7 * v) % 13 for v in range(n)]
+        weights = [(7 * v) % 13 for v in range(n)] if weighted else None
         expected = _transmissions_scipy(g.adj, weights)
         _only(monkeypatch, kernel)
-        assert weighted_transmissions(g, weights) == expected
+        if weighted:
+            assert weighted_transmissions(g, weights) == expected
+        else:
+            assert px.all_pairs_distances(g).transmissions == expected
 
-    def test_weighted_rejects_disconnected(self):
+    def test_weighted_rejects_disconnected(self, monkeypatch):
+        _only(monkeypatch)
         with pytest.raises(ValueError, match="connected"):
             weighted_transmissions(px.graph_from_edges(3, [(0, 1)]), [1, 1, 1])
-
-    def test_rule_reads_order_and_row0_only(self):
-        small, cap = graphs._SCIPY_MIN_ORDER, graphs._BITSET_MAX_LEVELS
-
-        def row0(n, ecc):
-            return [0] + [min(v, ecc) for v in range(1, n)]
-
-        assert graphs._backend(1, [0]) == "bigint"
-        assert graphs._backend(small - 1, row0(small - 1, small - 2)) == "bigint"
-        assert graphs._backend(small - 1, [0] * (small - 2) + [INF]) == "bigint"
-        for n in (small, 499, 500, 10_000):
-            assert graphs._backend(n, row0(n, cap // 2)) == "bigint"
-            assert graphs._backend(n, row0(n, cap // 2 + 1)) == "scipy"
-            assert graphs._backend(n, [0] * (n - 1) + [INF]) == "scipy"
 
 
 class TestTransmissions:
@@ -508,27 +539,6 @@ class TestTransmissions:
         d = px.all_pairs_distances(g)
         assert not d.connected and d.transmissions is None
         assert _rows(d, n) == floyd_warshall(g)
-
-    @pytest.mark.parametrize(
-        "g, kernel",
-        [(px.path_graph(300), "_transmissions_scipy"), (px.complete_graph(40), "_transmissions_bigint")],
-        ids=["scipy", "bitset"],
-    )
-    def test_each_view_computed_on_first_read_only(self, monkeypatch, g, kernel):
-        computed = []
-        real = getattr(graphs, kernel)
-
-        def counting(adj):
-            computed.append(kernel)
-            return real(adj)
-
-        monkeypatch.setattr(graphs, kernel, counting)
-        d = px.all_pairs_distances(g)
-        assert computed == []
-        assert d.row(0)[1] == 1
-        assert computed == []
-        assert d.transmissions is d.transmissions
-        assert computed == [kernel]
 
 
 class TestBall:
