@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 a verified claim failed (counterexample found),
 2 usage or input error (an unreadable path, a disconnected graph, a
 document above ``graphs.MAX_ORDER`` vertices or ``graphs.MAX_EDGES`` edge
 lines, an ``extremal`` order above that cap or graph above that budget,
-and a sweep above ``extremal.MAX_SWEEP_WORK`` included), 3 an internal
+a sweep above ``extremal.MAX_SWEEP_WORK``, and an ``extremal`` flag that
+does not apply: ``--n``, ``--Delta``, ``--sharpness`` or ``--output``
+with ``--sweep``, ``--csv`` without it), 3 an internal
 error: any other exception, reported as one ``internal error:`` line on
 stderr so that a crash never reads as a counterexample.  ``compute`` and
 ``verify`` read G's transmissions, which come with no n×n array;
@@ -18,6 +20,13 @@ transmissions, with no n×n array either, and the certifiers read the
 trace alone.  A distance kernel imports its array libraries only when
 ``graphs`` selects it, so a small graph, or a large one of small
 diameter, is checked without them.
+
+Each subcommand loads only its own modules.  This module loads what
+``compute`` and ``verify`` run: ``graphs``, ``invariants``, ``weighted``,
+``construction`` and ``report``, so checking a graph imports nothing
+after start-up.  ``extremal`` loads ``extremal`` and ``oracle`` loads
+``oracle``, each inside the command that runs it; neither loads the
+other, and ``compute`` and ``verify`` load neither.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
 adds wall-clock data and is off by default so the default output stays
@@ -36,10 +45,16 @@ import time
 from pathlib import Path
 
 from .construction import ConstructionError, bound_report
-from .extremal import ExtremalParams, extremal_graph, sharpness_report, sharpness_sweep
-from .graphs import DistanceOracle, Graph, ParseError, all_pairs_distances, parse_graph, render_graph
+from .graphs import (
+    DEFAULT_SEED,
+    DistanceOracle,
+    Graph,
+    ParseError,
+    all_pairs_distances,
+    parse_graph,
+    render_graph,
+)
 from .invariants import invariant_summary
-from .oracle import DEFAULT_SEED, exhaustive_bound_check, instance_csv_rows, lemma_sweep
 from . import report as rpt
 
 EXIT_OK = 0
@@ -95,19 +110,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     if args.sweep is not None:
-        lo, hi = args.sweep
-        records = sharpness_sweep(args.delta, lo, hi, jobs=args.jobs)
-        rows = "\n".join(rpt.sharpness_csv_rows(records)) + "\n"
-        if args.csv:
-            Path(args.csv).write_text(rows)
-            print(json.dumps({"records": len(records), "ok": all(r.within_limits for r in records)}))
-        else:
-            sys.stdout.write(rows)
-        return EXIT_OK if all(r.within_limits for r in records) else EXIT_CLAIM_FAILED
-
+        return _extremal_sweep(args)
+    if args.csv is not None:
+        print("error: --csv needs --sweep", file=sys.stderr)
+        return EXIT_USAGE
     if args.n is None or args.Delta is None:
         print("error: --n and --Delta are required without --sweep", file=sys.stderr)
         return EXIT_USAGE
+    from .extremal import ExtremalParams, extremal_graph, sharpness_report
+
     try:
         params = ExtremalParams(args.n, args.delta, args.Delta)
     except ValueError as exc:
@@ -125,7 +136,30 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extremal_sweep(args: argparse.Namespace) -> int:
+    """``extremal --sweep``, which refuses every flag of a single member."""
+    member_flags = (("--n", args.n), ("--Delta", args.Delta),
+                    ("--sharpness", args.sharpness or None), ("--output", args.output))
+    given = [flag for flag, value in member_flags if value is not None]
+    if given:
+        print(f"error: {', '.join(given)} cannot be used with --sweep", file=sys.stderr)
+        return EXIT_USAGE
+    from .extremal import sharpness_sweep
+
+    lo, hi = args.sweep
+    records = sharpness_sweep(args.delta, lo, hi, jobs=args.jobs)
+    rows = "\n".join(rpt.sharpness_csv_rows(records)) + "\n"
+    if args.csv:
+        Path(args.csv).write_text(rows)
+        print(json.dumps({"records": len(records), "ok": all(r.within_limits for r in records)}))
+    else:
+        sys.stdout.write(rows)
+    return EXIT_OK if all(r.within_limits for r in records) else EXIT_CLAIM_FAILED
+
+
 def _cmd_oracle_lemma_sweep(args: argparse.Namespace) -> int:
+    from .oracle import instance_csv_rows, lemma_sweep
+
     report = lemma_sweep(args.max_n, args.max_order, jobs=args.jobs)
     if args.csv:
         Path(args.csv).write_text("\n".join(rpt.sweep_csv_rows(report)) + "\n")
@@ -160,6 +194,8 @@ def _dump_violation(v, index: int) -> None:
 
 
 def _cmd_oracle_bound_check(args: argparse.Namespace) -> int:
+    from .oracle import exhaustive_bound_check
+
     if args.trees is not None:
         report = exhaustive_bound_check(args.trees, "exhaustive-trees", jobs=args.jobs)
     elif args.random is not None:

@@ -9,23 +9,24 @@ upper bounds.
 
 In a sequential sum every block is a clique and only consecutive blocks
 are joined, so two vertices in blocks i ≠ j are exactly |i − j| apart and
-two in one block are adjacent.  The transmissions and degrees of a member
-therefore follow from its block sizes in O(#blocks) sums, and the
-sharpness sweep builds no graph: :func:`sequential_sum` is kept for
-rendering a member and as the tests' reference.
+two in one block are adjacent.  All vertices of one block share their
+transmission and their degree, so a member is read from its blocks: one
+value of each per block, in O(#blocks) sums, and the sharpness sweep
+builds no graph and no per-vertex tuple.  :func:`sequential_sum` is kept
+for rendering a member and as the tests' reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import graphs
 from .construction import degree_range_bounds
 # all_pairs_distances is not called here; perfbench's tracer test checks this binding
-from .graphs import MAX_ORDER, Graph, all_pairs_distances, graph_from_edges  # noqa: F401
-from .invariants import summarize_transmissions
-from .oracle import parallel_map
+from .graphs import MAX_ORDER, Graph, all_pairs_distances, graph_from_edges, parallel_map  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class SequentialSumSpec:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("sequential sum needs at least one block")
-        if any(b < 1 for b in self.blocks):
+        if min(self.blocks) < 1:
             raise ValueError(f"block sizes must be positive, got {self.blocks}")
 
 
@@ -66,43 +67,44 @@ def sequential_sum(spec: SequentialSumSpec) -> Graph:
 
 
 def sequential_sum_transmissions(spec: SequentialSumSpec) -> tuple[int, ...]:
-    """Transmissions of :func:`sequential_sum`, in its vertex order, from
-    the block sizes alone.
+    """The transmission of each block's vertices in :func:`sequential_sum`,
+    one value per block, from the block sizes alone.
 
     A vertex of block i has σ = Σ_j b_j·|i − j| + b_i − 1.  Stepping from
     block i to block i + 1 takes the vertices of blocks 0..i one step
     farther and all the others one step closer.
     """
-    n = sum(spec.blocks)
-    far = sum(j * size for j, size in enumerate(spec.blocks))  # Σ_j b_j·|i − j| at i = 0
+    blocks = spec.blocks
+    n = sum(blocks)
+    far = sum(map(mul, range(len(blocks)), blocks))  # Σ_j b_j·|i − j| at i = 0
     through = 0
     out: list[int] = []
-    for size in spec.blocks:
-        out.extend([far + size - 1] * size)
+    for size in blocks:
+        out.append(far + size - 1)
         through += size
         far += 2 * through - n
     return tuple(out)
 
 
 def sequential_sum_degrees(spec: SequentialSumSpec) -> tuple[int, ...]:
-    """Degrees of :func:`sequential_sum`, in its vertex order: a vertex of
-    block i sees the rest of its block and both neighbouring blocks."""
-    padded = (0, *spec.blocks, 0)
-    out: list[int] = []
-    for i in range(1, len(padded) - 1):
-        out.extend([padded[i - 1] + padded[i] - 1 + padded[i + 1]] * padded[i])
-    return tuple(out)
+    """The degree of each block's vertices in :func:`sequential_sum`, one
+    value per block: a vertex of block i sees the rest of its block and
+    both neighbouring blocks."""
+    blocks = spec.blocks
+    return tuple([left + size + right - 1
+                  for left, size, right in zip((0, *blocks), blocks, (*blocks[1:], 0))])
 
 
 #: Largest Σ n over the members of one ``extremal --sweep``.  A member
-#: costs O(n) time for its transmissions and degrees, and its record stays
-#: until the CSV is written.  Measured as processes on 2 cores with Python
-#: 3.11.7, ``--delta 3 --sweep 16 N_HI`` at N_HI = 300, 500 and 700 sums
-#: to 2.2·10⁶, 1.0·10⁷ and 2.8·10⁷ and took 1.5, 7.4 and 15.3 s at 28, 50
-#: and 83 MiB max RSS: about 0.6 µs per unit and 1 KiB per member.  At the
-#: limit, sweeps at ``--delta`` 3, 20, 200 and 3000 took 11.4, 5.5, 5.1
-#: and 4.1 s at 69, 48, 31 and 21 MiB.  The ``MAX_ORDER`` cap on N_HI
-#: bounds one member's arrays.
+#: costs one step per block, about n/(delta + 1) of them, for its
+#: transmissions and degrees, and its record stays until the CSV is
+#: written.  Measured as processes on 2 cores with Python 3.11.7,
+#: ``--delta 3 --sweep 16 N_HI`` at N_HI = 300, 500 and 700 (the last
+#: with this cap lifted) sums to 2.2·10⁶, 1.0·10⁷ and 2.8·10⁷ and took
+#: 0.73, 2.3 and 7.0 s at 27, 48 and 80 MiB max RSS: about 0.25 µs per
+#: unit and 1 KiB per member.  At the limit, sweeps at ``--delta`` 3,
+#: 20, 200 and 3000 took 5.4, 1.9, 0.46 and 0.27 s at 67, 47, 30 and
+#: 20 MiB.  The ``MAX_ORDER`` cap on N_HI bounds one member's blocks.
 MAX_SWEEP_WORK = 20_000_000
 
 
@@ -209,43 +211,57 @@ class SharpnessRecord:
     within_limits: bool
 
 
+_SMALL_DELTA_GAP_PI_LIMIT = Fraction(49, 4)
+_GAP_RHO_LIMIT = Fraction(17, 2)
+
+
+@functools.cache
+def _large_delta_gap_pi_limit(delta: int) -> Fraction:
+    """6·delta + 5/2, built once per minimum degree."""
+    return Fraction(12 * delta + 5, 2)
+
+
+def _gap(bound: Fraction, sigma: int, denom: int) -> Fraction:
+    """``bound − sigma/denom`` as one ``Fraction`` of integers."""
+    return Fraction(bound.numerator * denom - sigma * bound.denominator, bound.denominator * denom)
+
+
 def sharpness_report(p: ExtremalParams) -> SharpnessRecord:
     """The family member's proximity and remoteness, from the transmissions
     of its blocks, and their gaps to the degree-aware bounds.
 
     Asserted limits: ``gap_pi < 49/4`` when ``Delta <= n/2``,
     ``gap_pi < 6*delta + 5/2`` when ``Delta >= n/2``, and always
-    ``gap_rho <= 17/2``.  (At ``Delta = n/2`` both proximity limits
-    apply; the tighter one is recorded.)
+    ``gap_rho <= 17/2``.  At ``Delta = n/2`` both proximity limits
+    apply and the tighter one, 49/4, is recorded: ``delta >= 3`` puts
+    ``6*delta + 5/2`` above it.
     """
     spec = SequentialSumSpec(extremal_block_sizes(p))
     degrees = sequential_sum_degrees(spec)
-    assert len(degrees) == p.n and (min(degrees), max(degrees)) == (p.delta, p.Delta)
-    inv = summarize_transmissions(sequential_sum_transmissions(spec))
+    assert sum(spec.blocks) == p.n and (min(degrees), max(degrees)) == (p.delta, p.Delta)
+    transmissions = sequential_sum_transmissions(spec)
+    sigma_min, sigma_max = min(transmissions), max(transmissions)
     bounds = degree_range_bounds(p.n, p.delta, p.Delta)
-    gap_pi = bounds.pi_bound - inv.proximity
-    gap_rho = bounds.rho_bound - inv.remoteness
-
-    limits = []
+    denom = p.n - 1
+    gap_pi = _gap(bounds.pi_bound, sigma_min, denom)
+    gap_rho = _gap(bounds.rho_bound, sigma_max, denom)
     if 2 * p.Delta <= p.n:
-        limits.append(Fraction(49, 4))
-    if 2 * p.Delta >= p.n:
-        limits.append(6 * p.delta + Fraction(5, 2))
-    gap_pi_limit = min(limits)
-    within = gap_pi < gap_pi_limit and gap_rho <= Fraction(17, 2)
+        gap_pi_limit = _SMALL_DELTA_GAP_PI_LIMIT
+    else:
+        gap_pi_limit = _large_delta_gap_pi_limit(p.delta)
     return SharpnessRecord(
         n=p.n,
         delta=p.delta,
         Delta=p.Delta,
         case=bounds.case,
-        proximity=inv.proximity,
+        proximity=Fraction(sigma_min, denom),
         pi_bound=bounds.pi_bound,
         gap_pi=gap_pi,
-        remoteness=inv.remoteness,
+        remoteness=Fraction(sigma_max, denom),
         rho_bound=bounds.rho_bound,
         gap_rho=gap_rho,
         gap_pi_limit=gap_pi_limit,
-        within_limits=within,
+        within_limits=gap_pi < gap_pi_limit and gap_rho <= _GAP_RHO_LIMIT,
     )
 
 

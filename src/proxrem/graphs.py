@@ -3,15 +3,20 @@
 Vertices are dense integers ``0..n-1``.  Adjacency lists are kept sorted so
 every iteration over a graph is deterministic; all downstream constructions
 rely on that for reproducible tie-breaking.
+
+Every command loads this module, so it also holds the two process-level
+helpers that both ``oracle`` and ``extremal`` use: :func:`parallel_map`
+and :data:`DEFAULT_SEED`.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
 #: single addition cannot collide with a real hop count, small enough to
@@ -63,6 +68,12 @@ MAX_ORDER = 10_000
 #: 9.8·10⁵ edges in 0.35, 0.66 and 1.29 s at 45, 105 and 304 MiB.  The
 #: order cap alone does not bound the edges: G(2000, ½) has about 10⁶.
 MAX_EDGES = 500_000
+
+#: Default seed for every randomized corpus (overridable via --seed).
+DEFAULT_SEED = 1729
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
 
 
 class ParseError(ValueError):
@@ -417,6 +428,22 @@ def _tree_sigmas(edges: Sequence[tuple[int, int]], m: int, w: Sequence[int]) -> 
     for child, up in reversed(edges):
         sigma[child] = sigma[up] + total - 2 * sub[child]
     return sigma
+
+
+def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T], jobs: int) -> list[_U]:
+    """Order-preserving map, optionally across a process pool.
+
+    Results are identical for any ``jobs`` value; parallelism only shards
+    the work.  The pool never has more workers than items or CPUs.
+    """
+    items = list(items)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from multiprocessing import get_context
+
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(fn, items)
 
 
 # Small factories used throughout the tests and the CLI examples.

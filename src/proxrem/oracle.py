@@ -17,38 +17,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from .construction import BoundVerdicts, bound_report, bound_verdicts
-from .graphs import Graph, _tree_sigmas, graph_from_edges, is_connected, render_graph
+from .graphs import (
+    DEFAULT_SEED,
+    Graph,
+    _tree_sigmas,
+    graph_from_edges,
+    is_connected,
+    parallel_map,
+    render_graph,
+)
 from .weighted import any_vertex_bound, median_bound
-
-#: Default seed for every randomized corpus (overridable via --seed).
-DEFAULT_SEED = 1729
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
-
-def parallel_map(fn: Callable[[_T], _U], items: Sequence[_T], jobs: int) -> list[_U]:
-    """Order-preserving map, optionally across a process pool.
-
-    Results are identical for any ``jobs`` value; parallelism only shards
-    the work.  The pool never has more workers than items or CPUs.
-    """
-    items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from multiprocessing import get_context
-
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------

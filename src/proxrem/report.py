@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .construction import BoundReport, ChainLink
-from .extremal import SharpnessRecord
-from .graphs import Graph
-from .invariants import InvariantSummary
-from .oracle import BoundCheckReport, LemmaSweepReport
+if TYPE_CHECKING:  # annotations only: rendering a report loads no other module
+    from .construction import BoundReport, ChainLink
+    from .extremal import SharpnessRecord
+    from .graphs import Graph
+    from .invariants import InvariantSummary
+    from .oracle import BoundCheckReport, LemmaSweepReport
 
 SCHEMA_VERSION = "1"
 

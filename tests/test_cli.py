@@ -342,6 +342,42 @@ class TestExtremal:
         assert code == 0
         assert px.parse_graph(dest.read_text()).n == 11
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sweep", "16", "17", "--n", "20"], "--n cannot be used with --sweep"),
+            (["--sweep", "16", "17", "--Delta", "8"], "--Delta cannot be used with --sweep"),
+            (["--sweep", "16", "17", "--sharpness"], "--sharpness cannot be used with --sweep"),
+            (["--sweep", "16", "17", "--output", "out.edges"], "--output cannot be used with --sweep"),
+            (["--sweep", "16", "17", "--n", "20", "--Delta", "8", "--sharpness", "--output", "out.edges"],
+             "--n, --Delta, --sharpness, --output cannot be used with --sweep"),
+            (["--n", "20", "--Delta", "8", "--csv", "out.csv"], "--csv needs --sweep"),
+        ],
+        ids=["sweep-n", "sweep-Delta", "sweep-sharpness", "sweep-output", "sweep-all-four",
+             "csv-without-sweep"],
+    )
+    def test_flag_that_does_not_apply_exits_2_before_any_member(
+            self, capsys, monkeypatch, tmp_path, argv, message):
+        from proxrem import extremal
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("sharpness_sweep", "sharpness_report", "extremal_graph"):
+            monkeypatch.setattr(extremal, name, _member_computed)  # would exit 3
+        code, out, err = _run(capsys, "extremal", "--delta", "3", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_sweep_csv_is_identical_for_any_jobs(self, capsys, delta):
+        argv = ("extremal", "--delta", str(delta), "--sweep", "10", "90")
+        one = _run(capsys, *argv, "--jobs", "1")
+        assert one[0] == 0 and one[1].count("\n") > 1 + 20
+        assert _run(capsys, *argv, "--jobs", "2") == one
+
+
+def _member_computed(*args, **kwargs):
+    raise AssertionError("a family member was computed")
+
 
 class TestOracle:
     def test_lemma_sweep_small(self, capsys):
@@ -484,6 +520,29 @@ class TestOracle:
 
 
 class TestUsage:
+    def test_each_subcommand_loads_only_its_modules(self, tmp_path):
+        f = tmp_path / "p7.edges"
+        f.write_text(px.render_graph(px.path_graph(7)))
+        probe = (
+            "import sys\nfrom proxrem.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
+        )
+        src = str(Path(px.__file__).parents[1])
+        cases = [
+            (["extremal", "--delta", "3", "--sweep", "16", "40"], "proxrem.extremal",
+             {"proxrem.oracle", "numpy", "scipy"}),
+            (["verify", "--chain", str(f)], "proxrem.construction", {"proxrem.oracle", "proxrem.extremal"}),
+            (["oracle", "lemma-sweep", "--max-n", "5", "--max-order", "4"], "proxrem.oracle",
+             {"proxrem.extremal"}),
+        ]
+        for argv, runs, never in cases:
+            proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            loaded = set(proc.stderr.split())
+            assert runs in loaded and loaded & never == set(), argv
+
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
 

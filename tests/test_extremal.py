@@ -54,6 +54,11 @@ class TestSequentialSum:
             SequentialSumSpec((2, 0))
 
 
+def _per_vertex(spec, per_block):
+    """A per-block tuple expanded to the built graph's vertex order."""
+    return tuple(value for value, size in zip(per_block, spec.blocks, strict=True) for _ in range(size))
+
+
 class TestBlockFormulas:
     """Transmissions and degrees from block sizes, against the built graph."""
 
@@ -66,7 +71,8 @@ class TestBlockFormulas:
     @settings(max_examples=150, deadline=None)
     def test_transmissions_match_bfs(self, spec):
         g = px.sequential_sum(spec)
-        assert sequential_sum_transmissions(spec) == px.all_pairs_distances(g).transmissions
+        expected = px.all_pairs_distances(g).transmissions
+        assert _per_vertex(spec, sequential_sum_transmissions(spec)) == expected
 
     @given(_specs(4, 10))  # orders to 40 for the cubic Floyd–Warshall
     @example(SequentialSumSpec((1,)))
@@ -74,7 +80,8 @@ class TestBlockFormulas:
     @example(SequentialSumSpec((2, 5)))
     @settings(max_examples=40, deadline=None)
     def test_transmissions_match_floyd_warshall(self, spec):
-        assert sequential_sum_transmissions(spec) == tuple(map(sum, floyd_warshall(px.sequential_sum(spec))))
+        assert _per_vertex(spec, sequential_sum_transmissions(spec)) == tuple(
+            map(sum, floyd_warshall(px.sequential_sum(spec))))
 
     @given(specs)
     @example(SequentialSumSpec((1,)))
@@ -83,7 +90,7 @@ class TestBlockFormulas:
     @settings(max_examples=150, deadline=None)
     def test_degrees_match_graph(self, spec):
         g = px.sequential_sum(spec)
-        assert sequential_sum_degrees(spec) == tuple(g.degree(v) for v in range(g.n))
+        assert _per_vertex(spec, sequential_sum_degrees(spec)) == tuple(g.degree(v) for v in range(g.n))
 
     @pytest.mark.parametrize("delta, lo, hi", [(3, 16, 60), (4, 10, 50)])
     def test_sweep_matches_built_graphs(self, delta, lo, hi):

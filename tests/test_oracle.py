@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import proxrem as px
-from proxrem import oracle
+from proxrem import graphs, oracle
 from proxrem.cli import main
 from proxrem.construction import bound_verdicts
 from proxrem.graphs import _tree_sigmas
@@ -322,7 +322,7 @@ class TestParallelMap:
             Pool = FakePool
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(graphs.os, "cpu_count", lambda: cpus)
         assert parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
         assert sizes == ([] if pool is None else [pool])
 
