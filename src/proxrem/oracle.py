@@ -1,16 +1,17 @@
 """Independent brute-force machinery.
 
-Labeled-tree enumeration through the Prufer bijection, an exhaustive
-sweep checking the closed-form weighted-distance bounds against every
-small integer-weighted tree, exhaustive/randomized verification of all
-proximity and remoteness bounds, and the seeded random-connected-graph
-sampler used by every randomized corpus.
+Labeled-tree enumeration through the Prufer bijection, rooted tree shapes
+from canonical level sequences, an exhaustive sweep checking the
+closed-form weighted-distance bounds against every small integer-weighted
+tree, exhaustive/randomized verification of all proximity and remoteness
+bounds, and the seeded random-connected-graph sampler used by every
+randomized corpus.
 
-Neither sweep builds a Graph per tree: (weighted) transmissions come
-from one rerooting pass of :func:`~proxrem.graphs._tree_sigmas` over the
-Prufer decode's edges.  The exhaustive tree check evaluates the six
-bounds once per exact key (order, degree extremes, transmission
-extremes), which every tree with that key then reads.
+Both tree sweeps read one labelling per rooted tree shape
+(:func:`_tree_shapes`) and build no Graph: (weighted) transmissions come
+from one rerooting pass of :func:`~proxrem.graphs._tree_sigmas` over its
+edges.  What they compute is invariant under relabelling, so the
+labelled trees are walked only to name a witness or a violation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .construction import BoundVerdicts, bound_report, bound_verdicts
 from .graphs import (
@@ -61,16 +62,6 @@ def _decode_edges(seq: Sequence[int], m: int) -> list[tuple[int, int]]:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return edges
-
-
-def _prufer_transmissions(seq: Sequence[int], m: int) -> list[int]:
-    """Transmissions of the decoded tree of order ``m`` >= 2, from the
-    decode alone: no Graph and no BFS.
-
-    :func:`_decode_edges` lists each edge as (leaf, neighbour) in
-    leaf-removal order, a post-order toward the last vertex left.
-    """
-    return _tree_sigmas(_decode_edges(seq, m), m, [1] * m)
 
 
 def prufer_decode(seq: Sequence[int], m: int) -> Graph:
@@ -117,6 +108,33 @@ def enumerate_trees(m: int) -> Iterator[Graph]:
         raise ValueError(f"tree enumeration supports 1 <= m <= 8, got {m}")
     for seq in itertools.product(range(m), repeat=max(0, m - 2)):
         yield prufer_decode(seq, m)
+
+
+def _tree_shapes(m: int) -> Iterator[list[tuple[int, int]]]:
+    """One labelling of each rooted tree of order ``m`` >= 1 (OEIS A000081),
+    from Beyer and Hedetniemi's constant-time generation of canonical level
+    sequences (SIAM J. Comput. 9(4), 1980), vertices numbered in preorder.
+
+    Each comes as its (child, parent) edges for v = m−1..1: a preorder
+    puts every descendant after its ancestors, so this is the leaf-first
+    post-order that :func:`~proxrem.graphs._tree_sigmas` takes, rooted at 0.
+    """
+    level = list(range(m))  # depth of each vertex in preorder; the path comes first
+    while True:
+        last = [0] * m  # the latest vertex at each depth, the parent of the next one below
+        edges = []
+        for v in range(1, m):
+            last[level[v]] = v
+            edges.append((v, last[level[v] - 1]))
+        yield edges[::-1]
+        # successor: p is the last vertex deeper than 1 and q its parent;
+        # from p on, the sequence repeats the segment q..p−1
+        p = next((v for v in range(m - 1, 0, -1) if level[v] > 1), 0)
+        if p == 0:
+            return
+        q = next(v for v in range(p - 1, -1, -1) if level[v] == level[p] - 1)
+        for v in range(p, m):
+            level[v] = level[v - p + q]
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +230,14 @@ def _sweep_order(args: tuple[int, int]) -> tuple[dict, list[SweepViolation]]:
     overall weighted distance, plus any bound violations, each with its
     :func:`_first_attaining` instance for counterexample dumps.
 
-    The maxima come from one labelling per tree shape, the parent arrays
-    with p(v) < v, whose edges (v, p(v)) for v = m−1..1 are in leaf-first
-    post-order.  Every tree has one (number it in BFS order), and the
-    vectors of a (total, heavy) pair are closed under permutation, so the
-    maxima equal those over every labelled tree.
+    The maxima come from one labelling per rooted tree shape,
+    :func:`_tree_shapes`.  Every labelled tree is one of them relabelled,
+    and the vectors of a (total, heavy) pair are closed under permutation,
+    so the maxima equal those over every labelled tree.
     """
     m, max_total = args
     vectors = [w for total in range(m, max_total + 1) for w in _compositions(total, m)]
-    shapes = [
-        [(v, parents[v - 1]) for v in range(m - 1, 0, -1)]
-        for parents in itertools.product(*(range(v) for v in range(1, m)))
-    ]
+    shapes = list(_tree_shapes(m))
     observed: dict[tuple[int, int], tuple[int, int]] = {}
     for w in vectors:
         sigmas = [_tree_sigmas(edges, m, w) for edges in shapes]
@@ -293,10 +307,15 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
     distances are compared against the closed-form bounds.  Enumerating
     the designated heavy vertex collapses to the threshold test
     ``max(weights) >= heavy``, which covers every designation choice.
-    :func:`_sweep_order` reads the maxima off one labelling per tree
-    shape.  Ranges above the budget, or holding no instance, raise
+    :func:`_sweep_order` reads the maxima off one labelling per rooted
+    tree shape.  Ranges above the budget, or holding no instance, raise
     ``ValueError``.
     """
+    # The shapes make lemma_sweep(9, 7) 11 ms in process and 0.11 s as a
+    # process (70 ms and 0.17 s over parent arrays; 2-core Xeon, Python
+    # 3.11.7).  The budget stays for what still walks labelled trees:
+    # _first_attaining on a violated bound, and --instances, whose 713,730
+    # rows at the defaults take 1.5 s; order 8 has 8^6 = 262,144 of them.
     if max_total > 9 or max_order > 7:
         raise ValueError(
             f"sweep budget exceeded: max_total <= 9 and max_order <= 7 required "
@@ -358,20 +377,23 @@ def random_connected_graph(rng: random.Random, max_order: int) -> Graph:
 
     The edge probability is redrawn per attempt from a sparse-biased
     range above the connectivity threshold, so the corpus spans sparse
-    to dense graphs.  Fully deterministic given the Random instance.
+    to dense graphs.  Fully deterministic given the Random instance: an
+    attempt draws one number per pair i < j, in lexicographic order.  An
+    edge (i, j) appends j to row i and i to row j, so every row comes out
+    sorted and duplicate-free, the Graph's adjacency as it stands.
     """
     n = rng.randint(2, max_order)
     p_lo = min(1.0, 1.2 * log(n + 1) / n)
     for _ in range(1000):
         u = rng.random()
         p = p_lo + (1.0 - p_lo) * u * u
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ]
-        g = graph_from_edges(n, edges)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, row in enumerate(adj):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    row.append(j)
+                    adj[j].append(i)
+        g = Graph(tuple([tuple(row) for row in adj]))
         if is_connected(g):
             return g
     raise RuntimeError(f"rejection sampling failed to connect a graph of order {n}")
@@ -409,73 +431,100 @@ class BoundCheckReport:
         return not self.violations and self.path_equality_ok is not False
 
 
-class _Shard(NamedTuple):
-    """What one shard of a bound check hands to the merge.  A handle names
-    one checked graph: ``(order, Prufer sequence)`` for a tree, the corpus
-    index for a random graph."""
-
-    graphs: int
-    minima: dict[str, tuple[Fraction, Hashable]]  # slack, first handle attaining it
-    violations: list[tuple[Hashable, Fraction]]  # handle, slack of its worst bound
-    path_equality_ok: bool | None
-
-
 def _worst(slack: dict[str, Fraction]) -> Fraction:
     return slack[min(slack, key=slack.__getitem__)]
 
 
-def _tree_shard(shard: tuple[int, tuple[int, ...]]) -> _Shard:
-    """Every labelled tree of order ``m`` whose Prufer sequence starts with
-    ``prefix``, in product order.
+def _tree_key(edges: Sequence[tuple[int, int]], m: int) -> tuple[int, int, int, int, int]:
+    """The exact key (m, δ = 1, Δ, σmin, σmax) of a tree of order ``m`` >= 2,
+    from its edges in leaf-first post-order.  Relabelling keeps it."""
+    degree = [0] * m
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    sigma = _tree_sigmas(edges, m, [1] * m)
+    return (m, 1, max(degree), min(sigma), max(sigma))
 
-    A tree's exact key (m, δ = 1, Δ, σmin, σmax) comes from its sequence:
-    Δ is 1 + the largest multiplicity of a symbol, the transmissions come
-    from :func:`_prufer_transmissions`.  :func:`bound_verdicts` runs once
-    per distinct key, since equal keys give equal verdicts, and a tree's
-    checks read its key's.  A tree is a path exactly when Δ <= 2.
+
+def _order_verdicts(m: int) -> dict[tuple[int, ...], BoundVerdicts]:
+    """:func:`bound_verdicts` of every exact key of the trees of order ``m``.
+
+    The keys are read off one labelling per rooted shape,
+    :func:`_tree_shapes`: every labelled tree is one of them relabelled,
+    so their keys are those of every labelled tree.
     """
-    m, prefix = shard
-    # key -> its verdicts, whether all six hold, and its first tree
-    seen: dict[tuple[int, ...], tuple[BoundVerdicts, bool, tuple[int, ...]]] = {}
-    violations: list[tuple[Hashable, Fraction]] = []
-    rest = m - 2 - len(prefix)
-    for tail in itertools.product(range(m), repeat=rest):
-        seq = prefix + tail
-        sigma = _prufer_transmissions(seq, m)
-        key = (m, 1, 1 + max(map(seq.count, seq), default=0), min(sigma), max(sigma))
-        entry = seen.get(key)
-        if entry is None:
-            verdicts = bound_verdicts(*key)
-            entry = seen[key] = (verdicts, all(verdicts.holds.values()), seq)
-        if not entry[1]:
-            violations.append(((m, seq), _worst(entry[0].slack)))
-    # keys in order of their first tree, so a strict < keeps the first tree
-    minima: dict[str, tuple[Fraction, Hashable]] = {}
-    for verdicts, _, seq in seen.values():
-        for name, value in verdicts.slack.items():
-            if name not in minima or value < minima[name][0]:
-                minima[name] = (value, (m, seq))
-    path_eq = all(
-        (v.slack["remoteness_order"] == 0) == (key[2] <= 2) for key, (v, _, _) in seen.items()
+    keys = sorted({_tree_key(edges, m) for edges in _tree_shapes(m)})
+    return {key: bound_verdicts(*key) for key in keys}
+
+
+def _labelled_trees(
+    m: int, keys: Collection[tuple[int, ...]]
+) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """The labelled trees of order ``m`` whose key is in ``keys``, in Prufer
+    product order, each as its label, its key and its edge list.  A tree's
+    index in the label is its position in :func:`enumerate_trees`."""
+    for index, seq in enumerate(itertools.product(range(m), repeat=m - 2)):
+        edges = _decode_edges(seq, m)
+        key = _tree_key(edges, m)
+        if key in keys:
+            yield f"tree-m{m}-i{index}", key, render_graph(graph_from_edges(m, edges))
+
+
+def _tree_check(max_n: int, jobs: int) -> BoundCheckReport:
+    orders = range(2, max_n + 1)
+    verdicts = dict(zip(orders, parallel_map(_order_verdicts, orders, jobs)))
+    report = BoundCheckReport("exhaustive-trees", {"max_n": max_n}, sum(map(tree_count, orders)))
+    for m, by_key in verdicts.items():
+        failing = {key: _worst(v.slack) for key, v in by_key.items() if not all(v.holds.values())}
+        if failing:
+            report.violations += [
+                BoundWitness(label, failing[key], edge_list)
+                for label, key, edge_list in _labelled_trees(m, failing)
+            ]
+    every = [v for by_key in verdicts.values() for v in by_key.values()]
+    for name in every[0].slack:
+        value = min(v.slack[name] for v in every)
+        # the first tree attaining it lies in the smallest order that does
+        for m, by_key in verdicts.items():
+            keys = {key for key, v in by_key.items() if v.slack[name] == value}
+            if keys:
+                break
+        label, _, edge_list = next(_labelled_trees(m, keys))
+        report.min_slack[name] = value
+        report.witness[name] = BoundWitness(label, value, edge_list)
+    # a tree is a path exactly when Δ <= 2
+    report.path_equality_ok = all(
+        (v.slack["remoteness_order"] == 0) == (key[2] <= 2)
+        for by_key in verdicts.values()
+        for key, v in by_key.items()
     )
-    return _Shard(m**rest, minima, violations, path_eq)
+    return report
 
 
-def _describe_tree(handle: tuple[int, tuple[int, ...]]) -> tuple[str, str]:
-    """Label and edge list of a tree; its index is the sequence read as a
-    base-m numeral, its position in :func:`enumerate_trees`."""
-    m, seq = handle
-    index = 0
-    for x in seq:
-        index = index * m + x
-    return f"tree-m{m}-i{index}", render_graph(prufer_decode(seq, m))
-
-
-def _random_shard(item: tuple[int, Graph]) -> _Shard:
-    i, g = item
+def _random_verdict(g: Graph) -> tuple[dict[str, Fraction], bool]:
     report = bound_report(g)
-    violations = [] if report.all_hold() else [(i, _worst(report.slack))]
-    return _Shard(1, {name: (value, i) for name, value in report.slack.items()}, violations, None)
+    return report.slack, report.all_hold()
+
+
+def _random_check(max_n: int, samples: int, seed: int, jobs: int) -> BoundCheckReport:
+    graphs = sample_corpus(seed, samples, max_n)
+    params = {"max_n": max_n, "samples": samples, "seed": seed}
+    report = BoundCheckReport("random", params, samples)
+    first: dict[str, int] = {}
+    for i, (slack, ok) in enumerate(parallel_map(_random_verdict, graphs, jobs)):
+        if not ok:
+            report.violations.append(
+                BoundWitness(f"random-seed{seed}-i{i}", _worst(slack), render_graph(graphs[i]))
+            )
+        for name, value in slack.items():
+            if name not in report.min_slack or value < report.min_slack[name]:
+                report.min_slack[name] = value
+                first[name] = i
+    for name, i in first.items():
+        report.witness[name] = BoundWitness(
+            f"random-seed{seed}-i{i}", report.min_slack[name], render_graph(graphs[i])
+        )
+    return report
 
 
 def exhaustive_bound_check(
@@ -488,59 +537,34 @@ def exhaustive_bound_check(
     """Verify all six bounds over trees (exhaustive) or random graphs.
 
     Trees mode checks every labelled tree on 2..max_n vertices, and that
-    the order-only remoteness bound is tight exactly on paths.  It builds
-    no Graph per tree: :func:`_tree_shard` reads each tree's key off its
-    Prufer sequence, one shard per (order, first symbol).  Random mode
+    the order-only remoteness bound is tight exactly on paths.  The six
+    bounds are a pure function of a tree's exact key, which relabelling
+    keeps, so each order (one :func:`parallel_map` item) evaluates
+    :func:`bound_verdicts` once per key of its rooted shapes.  Labelled
+    trees are walked, in Prufer product order, only to name each tree of
+    a failing key and, after the merge, each bound's witness: the first
+    tree of the smallest order attaining the bound's minimum.  Random mode
     checks ``samples`` seeded connected graphs of order up to ``max_n``
-    through :func:`~proxrem.construction.bound_report`, one shard per
-    graph.
+    through :func:`~proxrem.construction.bound_report`, one item per graph;
+    the first attaining each minimum is its witness.
 
-    Shards run through :func:`parallel_map`, and the merge takes them in
-    order with a strict ``<``, so each witness is the first graph attaining
-    its bound's minimum and the report is the same for any ``jobs``.  An
-    edge list is rendered only for a violation or a final witness.
+    So each witness is the first graph attaining its bound's minimum and
+    the report is the same for any ``jobs``.  An edge list is rendered
+    only for a violation or a final witness.
     """
     if sampler == "exhaustive-trees":
+        # The shapes make --trees 8 a 0.1 s process, 2.5 ms of it the check
+        # (1.8 s over every labelled tree; 2-core Xeon, Python 3.11.7).  The
+        # cap stays for what still walks labelled trees: a failing bound
+        # lists every tree of its key, and the walk over the 8^6 = 262,144
+        # trees of order 8 alone takes 1.5 s in process.
         if not 2 <= max_n <= 8:
             raise ValueError(f"exhaustive tree mode needs 2 <= max_n <= 8, got {max_n}")
-        items: list = [
-            (m, prefix)
-            for m in range(2, max_n + 1)
-            for prefix in itertools.product(range(m), repeat=min(1, m - 2))
-        ]
-        shard_fn: Callable[..., _Shard] = _tree_shard
-        describe: Callable[..., tuple[str, str]] = _describe_tree
-        params: dict = {"max_n": max_n}
-    elif sampler == "random":
+        return _tree_check(max_n, jobs)
+    if sampler == "random":
         if samples < 1:
             raise ValueError("random mode needs samples >= 1")
         if not 2 <= max_n <= MAX_RANDOM_ORDER:
             raise ValueError(f"random mode needs 2 <= --max-n <= {MAX_RANDOM_ORDER}, got {max_n}")
-        graphs = sample_corpus(seed, samples, max_n)
-        items = list(enumerate(graphs))
-        shard_fn = _random_shard
-
-        def describe(i: int) -> tuple[str, str]:
-            return f"random-seed{seed}-i{i}", render_graph(graphs[i])
-
-        params = {"max_n": max_n, "samples": samples, "seed": seed}
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-
-    shards = parallel_map(shard_fn, items, jobs)
-    report = BoundCheckReport(mode=sampler, params=params, graphs=sum(s.graphs for s in shards))
-    minima: dict[str, tuple[Fraction, Hashable]] = {}
-    for shard in shards:
-        for handle, slack in shard.violations:
-            label, edge_list = describe(handle)
-            report.violations.append(BoundWitness(label, slack, edge_list))
-        for name, (value, handle) in shard.minima.items():
-            if name not in minima or value < minima[name][0]:
-                minima[name] = (value, handle)
-    for name, (value, handle) in minima.items():
-        label, edge_list = describe(handle)
-        report.min_slack[name] = value
-        report.witness[name] = BoundWitness(label, value, edge_list)
-    if sampler == "exhaustive-trees":
-        report.path_equality_ok = all(shard.path_equality_ok for shard in shards)
-    return report
+        return _random_check(max_n, samples, seed, jobs)
+    raise ValueError(f"unknown sampler {sampler!r}")

@@ -98,7 +98,7 @@ class TestBlockFormulas:
         assert records == [_record_from_graph(ExtremalParams(r.n, delta, r.Delta)) for r in records]
 
     def test_report_builds_no_graph(self, monkeypatch):
-        for module in (px, extremal, graphs, invariants):
+        for module in (extremal, graphs, invariants):
             for name in ("graph_from_edges", "all_pairs_distances"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, _raise)

@@ -1,8 +1,9 @@
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,8 @@ from proxrem.oracle import (
     SweepViolation,
     _compositions,
     _decode_edges,
-    _prufer_transmissions,
+    _tree_key,
+    _tree_shapes,
     instance_csv_rows,
     parallel_map,
     sweep_instance_count,
@@ -198,8 +200,9 @@ def _labelled_sweep(max_total, max_order, median, any_vertex):
 
 
 class TestSweepAgainstLabelledTrees:
-    """The sweep reads one labelling per tree shape; these tests hold its
-    maxima and its witnesses to every labelled tree."""
+    """The sweep reads one labelling per rooted tree shape, from
+    ``_tree_shapes``; these tests hold its maxima and its witnesses to
+    every labelled tree."""
 
     def test_records_match_labelled_brute_force(self):
         report = px.lemma_sweep(8, 6)
@@ -230,7 +233,30 @@ class TestSweepAgainstLabelledTrees:
         assert tuple(_tree_sigmas(edges, t.n, w)) == weighted_floyd_warshall(t, w)
 
 
+def _reference_sampler(rng, max_order):
+    """The sampler as first written: the pair list, then graph_from_edges."""
+    n = rng.randint(2, max_order)
+    p_lo = min(1.0, 1.2 * log(n + 1) / n)
+    for _ in range(1000):
+        u = rng.random()
+        p = p_lo + (1.0 - p_lo) * u * u
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = px.graph_from_edges(n, edges)
+        if px.is_connected(g):
+            return g
+    raise RuntimeError(f"rejection sampling failed to connect a graph of order {n}")
+
+
 class TestRandomSampler:
+    @pytest.mark.parametrize("seed", [1729, 7, 42])
+    @pytest.mark.parametrize("count,max_order", [(500, 60), (20, 300)])
+    def test_corpus_equals_reference_sampler(self, seed, count, max_order):
+        rng = random.Random(seed)
+        expected = [_reference_sampler(rng, max_order) for _ in range(count)]
+        corpus = px.sample_corpus(seed, count, max_order)
+        assert corpus == expected
+        assert all(g == px.graph_from_edges(g.n, g.edges()) for g in corpus)
+
     def test_deterministic(self):
         a = px.sample_corpus(123, 25, 30)
         b = px.sample_corpus(123, 25, 30)
@@ -351,24 +377,29 @@ def _rebuilt_tree_check(max_n: int) -> BoundCheckReport:
 
 
 class TestTreeCheckFromPrufer:
-    """The tree check reads each tree's transmissions off its Prufer decode
-    and evaluates the bounds once per exact key; these tests hold it to
-    per-tree references."""
+    """The tree check evaluates the bounds once per exact key of the rooted
+    tree shapes, and reads a labelled tree's key off its Prufer decode only
+    to name a witness or a violation; these tests hold it to per-tree
+    references."""
 
     def test_transmissions_match_every_tree_to_order_7(self):
         for m in range(2, 8):
             for seq in itertools.product(range(m), repeat=m - 2):
                 t = px.prufer_decode(seq, m)
                 expected = px.all_pairs_distances(t).transmissions
-                assert tuple(_prufer_transmissions(seq, m)) == expected, (m, seq)
+                edges = _decode_edges(seq, m)
+                assert tuple(_tree_sigmas(edges, m, [1] * m)) == expected, (m, seq)
                 assert expected == tuple(map(sum, floyd_warshall(t)))
+                key = (m, *px.degree_stats(t), min(expected), max(expected))
+                assert _tree_key(edges, m) == key, (m, seq)
 
     @given(labeled_trees(max_order=9))
     def test_transmissions_match_floyd_warshall(self, t):
         seq = px.prufer_encode(t)
-        assert tuple(_prufer_transmissions(seq, t.n)) == tuple(map(sum, floyd_warshall(t)))
+        sigma = _tree_sigmas(_decode_edges(seq, t.n), t.n, [1] * t.n)
+        assert tuple(sigma) == tuple(map(sum, floyd_warshall(t)))
 
-    @pytest.mark.parametrize("max_n", range(2, 7))
+    @pytest.mark.parametrize("max_n", range(2, 8))
     def test_report_equals_per_tree_rebuild(self, max_n):
         assert px.exhaustive_bound_check(max_n, "exhaustive-trees") == _rebuilt_tree_check(max_n)
 
@@ -401,8 +432,7 @@ class TestTreeCheckFromPrufer:
         target = (5, 1, 4, 4, 7)
         keys = self._sabotage(monkeypatch, target)
         report = px.exhaustive_bound_check(5, "exhaustive-trees")
-        # once per key and shard, and order m has a shard per first symbol
-        assert all(count <= key[0] for key, count in Counter(keys).items())
+        assert all(count == 1 for count in Counter(keys).values())  # once per key
         expected = []
         for i, seq in enumerate(itertools.product(range(5), repeat=3)):
             t = px.prufer_decode(seq, 5)
@@ -427,3 +457,110 @@ class TestTreeCheckFromPrufer:
         labels = [v["label"] for v in doc["violations"]]
         assert labels == [f"tree-m4-i{i}" for i in (0, 5, 10, 15)]
         assert doc["violations"][0]["edge_list"] == px.render_graph(px.prufer_decode((0, 0), 4))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_violation_at_order_7_names_every_tree_of_its_key(self, monkeypatch, jobs):
+        # two claws K_{1,3} sharing a leaf: Δ = 3, the shared leaf's transmission
+        # 10 and an end leaf's 16
+        target = (7, 1, 3, 10, 16)
+        self._sabotage(monkeypatch, target)
+        report = px.exhaustive_bound_check(7, "exhaustive-trees", jobs=jobs)
+        expected = []
+        for i, seq in enumerate(itertools.product(range(7), repeat=5)):
+            t = px.prufer_decode(seq, 7)
+            trans = px.invariant_summary(t).transmissions
+            if (7, *px.degree_stats(t), min(trans), max(trans)) == target:
+                expected.append(BoundWitness(f"tree-m7-i{i}", Fraction(-1), px.render_graph(t)))
+        assert len(expected) == 630  # 7!/8: the automorphism group has order 8
+        assert report.violations == expected
+        assert report.min_slack["proximity_order"] == -1
+        assert report.witness["proximity_order"] == expected[0]
+
+
+def _rooted_canonical(edges, m):
+    """AHU canonical string of a tree rooted at 0, given its (child, parent) edges."""
+    children = [[] for _ in range(m)]
+    for child, parent in edges:
+        children[parent].append(child)
+
+    def code(v):
+        return "(" + "".join(sorted(map(code, children[v]))) + ")"
+
+    return code(0)
+
+
+class TestTreeShapes:
+    """``_tree_shapes(m)`` yields one labelling of each rooted tree."""
+
+    A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_counts_match_a000081(self, m):
+        assert sum(1 for _ in _tree_shapes(m)) == self.A000081[m - 1]
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_shapes_are_trees_in_leaf_first_post_order(self, m):
+        for edges in _tree_shapes(m):
+            assert [child for child, _ in edges] == list(range(m - 1, 0, -1))
+            assert all(parent < child for child, parent in edges)
+            t = px.graph_from_edges(m, edges)
+            assert t.edge_count() == m - 1 and px.is_connected(t)
+            for w in ([1] * m, [3 * v % 7 + 1 for v in range(m)]):
+                assert tuple(_tree_sigmas(edges, m, w)) == weighted_floyd_warshall(t, w)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_shapes_are_pairwise_non_isomorphic(self, m):
+        codes = [_rooted_canonical(edges, m) for edges in _tree_shapes(m)]
+        assert len(set(codes)) == len(codes)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_shape_keys_equal_labelled_tree_keys(self, m):
+        shape_keys = {_tree_key(edges, m) for edges in _tree_shapes(m)}
+        labelled_keys = set()
+        for t in px.enumerate_trees(m):
+            trans = px.invariant_summary(t).transmissions
+            labelled_keys.add((m, *px.degree_stats(t), min(trans), max(trans)))
+        assert shape_keys == labelled_keys
+
+
+class TestWorkCounts:
+    """The sweeps do work per rooted shape and per exact key, not per
+    labelled tree."""
+
+    def test_lemma_sweep_reroots_once_per_shape_and_vector(self, monkeypatch):
+        calls = []
+        real = oracle._tree_sigmas
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_tree_sigmas", counted)
+        assert px.lemma_sweep(9, 7).ok
+        budget = sum(
+            TestTreeShapes.A000081[m - 1] * sum(comb(total - 1, m - 1) for total in range(m, 10))
+            for m in range(1, 8)
+        )
+        assert len(calls) <= budget
+
+    def test_tree_check_decodes_only_the_witnesses(self, monkeypatch):
+        decodes, keys = [], []
+        real_decode, real_verdicts = oracle._decode_edges, oracle.bound_verdicts
+
+        def decode(*args):
+            decodes.append(args)
+            return real_decode(*args)
+
+        def verdicts(*key):
+            keys.append(key)
+            return real_verdicts(*key)
+
+        monkeypatch.setattr(oracle, "_decode_edges", decode)
+        monkeypatch.setattr(oracle, "bound_verdicts", verdicts)
+        report = px.exhaustive_bound_check(8, "exhaustive-trees")
+        assert report.ok and report.graphs == sum(px.tree_count(m) for m in range(2, 9))
+        # resolving a witness "tree-m<m>-i<i>" decodes trees 0..i of order m
+        need = sum(int(w.label.rsplit("-i", 1)[1]) + 1 for w in report.witness.values())
+        assert len(decodes) <= need == 6
+        assert all(count == 1 for count in Counter(keys).values())
+        assert len(keys) == 44  # the distinct exact keys of orders 2..8
