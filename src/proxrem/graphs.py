@@ -11,7 +11,10 @@ and :data:`DEFAULT_SEED`.
 
 from __future__ import annotations
 
+import json
+import operator
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,12 +65,24 @@ MAX_ORDER = 10_000
 #: document with more edge lines, and ``extremal`` a family member with
 #: more edges, before any adjacency is built.  A graph costs Python sets of
 #: adjacency, 170–300 bytes per edge.  Measured as processes on 2 cores with
-#: Python 3.11.7: ``verify`` on K1000 (499,500 edges, 3.9 MB) took 1.5 s and
-#: 99 MiB max RSS, 1.0 s of it in :func:`parse_graph`; ``extremal --delta 3
-#: --Delta n-4`` at n = 504, 1004 and 1404 renders 1.2·10⁵, 5.0·10⁵ and
-#: 9.8·10⁵ edges in 0.35, 0.66 and 1.29 s at 45, 105 and 304 MiB.  The
-#: order cap alone does not bound the edges: G(2000, ½) has about 10⁶.
+#: Python 3.11.7: ``verify`` on K1000 (499,500 edges, 3.9 MB) took 0.67–0.76
+#: s and 97 MiB max RSS; ``extremal --delta 3 --Delta n-4`` at n = 504,
+#: 1004 and 1404 renders 1.2·10⁵, 5.0·10⁵ and 9.8·10⁵ edges in 0.35, 0.66
+#: and 1.29 s at 45, 105 and 304 MiB.  The order cap alone does not bound
+#: the edges: G(2000, ½) has about 10⁶, and ``verify`` refuses one such
+#: document (1,000,646 edge lines, 8.9 MB, with a header) from its first
+#: line in 0.22–0.29 s at 34 MiB.
 MAX_EDGES = 500_000
+
+#: A plain edge-list document: every line ``<id> <id>``, each id ASCII
+#: digits with no leading zero and at most 9 of them, one space between,
+#: ``\n`` between lines, the final newline optional.  Such a text is a
+#: JSON array once its separators are commas, and no id nears ``int``'s
+#: digit limit.  The group is atomic and its repetition possessive, so
+#: ``sre`` keeps no backtracking state per line: on a 20,001-line document
+#: a greedy ``(?:…)*`` peaked at 6.7 MB by ``tracemalloc``, this at 1.2 KB.
+_ID = "(?:0|[1-9][0-9]{0,8})"
+_PLAIN = re.compile(f"(?>{_ID} {_ID}\n)*+(?:{_ID} {_ID}\n?)?")
 
 #: Default seed for every randomized corpus (overridable via --seed).
 DEFAULT_SEED = 1729
@@ -161,8 +176,46 @@ def parse_graph(text: str) -> Graph:
     of remaining data lines; otherwise every line is an edge and the order
     is ``1 + max vertex id``.  With a header, any endpoint ``>= n`` is an
     error.
+
+    A plain document, one that :data:`_PLAIN` matches, is converted in
+    one ``json.loads``; every other document is read line by line by
+    :func:`_line_ends`, which names the first malformed line.  Both give
+    the same ids, and from there one path checks the order cap, the edge
+    budget, self-loops and out-of-range ids, the last two in bulk; only
+    when one of those fires does a per-edge loop run to name the first bad
+    line.  A plain document of more than ``MAX_EDGES + 1`` lines whose
+    first line is a header is refused from that line alone, before any
+    other id is converted.
     """
-    ends: list[int] = []  # every data line's two ids, one after the other
+    if text and _PLAIN.fullmatch(text):
+        if len(text) > 4 * (MAX_EDGES + 1):  # every line but the last has 4 characters or more
+            _refuse_by_header(text)
+        ends = json.loads("[" + text.rstrip("\n").replace("\n", ",").replace(" ", ",") + "]")
+    else:
+        ends = _line_ends(text)
+
+    has_header = ends[0] >= 1 and ends[1] == len(ends) // 2 - 1
+    if has_header:
+        n = ends[0]
+        del ends[:2]
+    else:
+        n = 1 + max(ends)
+    _check_caps(n, len(ends) // 2)
+
+    us, vs = ends[0::2], ends[1::2]
+    if any(map(operator.eq, us, vs)) or (has_header and max(ends, default=0) >= n):
+        for i, (a, b) in enumerate(zip(us, vs), start=1 if has_header else 0):
+            if a == b:
+                raise ParseError(f"line {_data_line(text, i)}: self-loop at vertex {a}")
+            if has_header and (a >= n or b >= n):
+                raise ParseError(f"line {_data_line(text, i)}: vertex id exceeds declared order {n}")
+    return graph_from_edges(n, zip(us, vs))
+
+
+def _line_ends(text: str) -> list[int]:
+    """Every data line's two ids, one after the other, read line by line;
+    a malformed line, or a document with no data line, raises."""
+    ends: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -180,25 +233,27 @@ def parse_graph(text: str) -> Graph:
         ends.append(b)
     if not ends:
         raise ParseError("empty edge-list document")
+    return ends
 
-    has_header = ends[0] >= 1 and ends[1] == len(ends) // 2 - 1
-    if has_header:
-        n = ends[0]
-        del ends[:2]
-    else:
-        n = 1 + max(ends)
+
+def _check_caps(n: int, edges: int) -> None:
+    """Refuse an order above ``MAX_ORDER``, then more than ``MAX_EDGES``
+    edge lines."""
     if n > MAX_ORDER:
         raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
-    if len(ends) // 2 > MAX_EDGES:
-        raise ParseError(f"{len(ends) // 2} edge lines exceed the limit of {MAX_EDGES}")
+    if edges > MAX_EDGES:
+        raise ParseError(f"{edges} edge lines exceed the limit of {MAX_EDGES}")
 
-    us, vs = ends[0::2], ends[1::2]
-    for i, (a, b) in enumerate(zip(us, vs), start=1 if has_header else 0):
-        if a == b:
-            raise ParseError(f"line {_data_line(text, i)}: self-loop at vertex {a}")
-        if has_header and (a >= n or b >= n):
-            raise ParseError(f"line {_data_line(text, i)}: vertex id exceeds declared order {n}")
-    return graph_from_edges(n, zip(us, vs))
+
+def _refuse_by_header(text: str) -> None:
+    """Refuse a plain document of more than ``MAX_EDGES + 1`` lines whose
+    first line is a header, from that line alone.  A headerless one needs
+    its largest id for the order check, so it is converted in full."""
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if lines > MAX_EDGES + 1:
+        n, m = map(int, text[: text.index("\n")].split(" "))
+        if n >= 1 and m == lines - 1:
+            _check_caps(n, m)
 
 
 def _data_line(text: str, k: int) -> int:
@@ -297,10 +352,13 @@ def _transmissions_bigint(
     ORed into ``planes[k][v]`` for each bit k of the level, so that plane
     k holds the sources whose distance to v has bit k set; at the end v
     gains ``popcount(planes[k][v] & M_j) << (j + k)`` for every plane k
-    and every bit slice M_j of the weights.  A vertex whose x is empty has
-    no source farther away and leaves the loop.  Any order, 1 included; on
-    a disconnected graph each sum runs over the vertex's component.  The
-    ints take (3 + the planes' count)·n² bits at most.
+    and every bit slice M_j of the weights.  A vertex leaves the loop in
+    the level where its last unseen bit clears, as no source is farther
+    away (Then et al., PVLDB 8(4), 2014); its x still feeds its neighbours
+    one level on.  On a disconnected graph it leaves instead at its first
+    empty x.  Any order, 1 included; on a disconnected graph each sum runs
+    over the vertex's component.  The ints take (3 + the planes'
+    count)·n² bits at most.
     """
     n = len(adj)
     slices = None if weights is None else _bit_slices(weights)
@@ -326,8 +384,10 @@ def _transmissions_bigint(
             x &= unseen[v]
             if x:
                 nxt[v] = x
-                unseen[v] ^= x
-                still.append(v)
+                left = unseen[v] ^ x
+                unseen[v] = left
+                if left:
+                    still.append(v)
                 if slices is None:
                     sums[v] += level * x.bit_count()
                 else:

@@ -2,6 +2,7 @@ import ast
 import random
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,114 @@ class TestParse:
         assert _outcome(px.parse_graph, text) == _outcome(_parse_with_line_numbers, text)
 
 
+#: One-line perturbations of a plain document, and whether the result is
+#: still plain.  A plain result takes the bulk path, and its errors must
+#: come from the bulk checks; any other takes the line loop.
+PERTURBATIONS = {
+    "leading-zero": False, "ten-digit-id": False, "tab": False, "crlf": False,
+    "trailing-space": False, "blank-line": False, "comment": False,
+    "none": True, "no-final-newline": True, "self-loop": True, "id-above-order": True,
+    "over-order-header": True, "edge-budget": True,
+}
+
+
+@st.composite
+def perturbed_plain_documents(draw):
+    """``(text, plain, budget)``: a plain document, with or without a
+    header, with one line perturbed; ``budget`` is the edge budget to parse
+    it under, or ``None`` for ``MAX_EDGES`` itself."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, min_size=1, max_size=10))
+    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
+    header = kind in ("id-above-order", "over-order-header") or draw(st.booleans())
+    lines = [f"{u} {v}" for u, v in edges]
+    first = 1 if header else 0
+    i = draw(st.integers(first, len(lines) - 1 + first))  # a data line
+    a, b = edges[i - first]
+    budget = None
+    if kind == "leading-zero":
+        lines[i - first] = f"0{a} {b}"
+    elif kind == "ten-digit-id":
+        lines[i - first] = f"{a} {10**9 + b}"
+    elif kind == "tab":
+        lines[i - first] = f"{a}\t{b}"
+    elif kind == "crlf":
+        lines[i - first] += "\r"
+    elif kind == "trailing-space":
+        lines[i - first] += " "
+    elif kind == "blank-line":
+        lines.insert(i - first, "")
+    elif kind == "comment":
+        lines.insert(i - first, "# note")
+    elif kind == "self-loop":
+        lines[i - first] = f"{a} {a}"
+    elif kind == "id-above-order":
+        lines[i - first] = f"{a} {n + draw(st.integers(0, 10**9 - 1 - n))}"
+    elif kind == "edge-budget":  # over it, at it, or under it
+        budget = draw(st.integers(0, len(edges) + 1))
+    if header:
+        order = MAX_ORDER + draw(st.integers(1, 10**6)) if kind == "over-order-header" else n
+        lines.insert(0, f"{order} {len(edges)}")
+    final_newline = kind != "no-final-newline" and draw(st.booleans())
+    return "\n".join(lines) + ("\n" if final_newline else ""), PERTURBATIONS[kind], budget
+
+
+class TestPlainParse:
+    """The bulk path for plain documents against the line-by-line reference."""
+
+    @given(perturbed_plain_documents())
+    @settings(max_examples=500, deadline=None)
+    def test_perturbed_plain_equals_reference(self, doc):
+        text, plain, budget = doc
+        assert (graphs._PLAIN.fullmatch(text) is not None) == plain
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(graphs, "MAX_EDGES", budget)
+            assert _outcome(px.parse_graph, text) == _outcome(_parse_with_line_numbers, text)
+
+    def test_over_budget_header_refused_before_conversion(self, monkeypatch):
+        # the shortest lines a plain document can have, one line over the
+        # budget: refused from its header, with no id converted
+        monkeypatch.setattr(graphs, "MAX_EDGES", 5)
+
+        def forbidden(_):
+            raise AssertionError("ids converted for a refused document")
+
+        monkeypatch.setattr(graphs, "json", SimpleNamespace(loads=forbidden))
+        with pytest.raises(ParseError, match=r"^6 edge lines exceed the limit of 5$"):
+            px.parse_graph("9 6\n" + "0 1\n" * 5 + "1 2")
+        with pytest.raises(ParseError, match=f"^graph order {MAX_ORDER + 1} exceeds the limit of {MAX_ORDER}$"):
+            px.parse_graph(f"{MAX_ORDER + 1} 6\n" + "0 1\n" * 6)
+
+    @pytest.mark.parametrize(
+        ("first", "message"),
+        [
+            ("3 9", "7 edge lines exceed the limit of 5"),
+            (f"{MAX_ORDER + 1} 2", f"graph order {MAX_ORDER + 2} exceeds the limit of {MAX_ORDER}"),
+        ],
+    )
+    def test_over_budget_without_header_counts_every_line(self, monkeypatch, first, message):
+        # a first line whose m is not the count of the lines after it is an
+        # edge, not a header, so neither of its ids is the order or the count
+        monkeypatch.setattr(graphs, "MAX_EDGES", 5)
+        text = f"{first}\n" + "0 1\n" * 6
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            px.parse_graph(text)
+        assert _outcome(px.parse_graph, text) == _outcome(_parse_with_line_numbers, text)
+
+    def test_shape_check_keeps_no_state_per_line(self):
+        # a backtracking pattern keeps state for every line it has matched
+        doc = "".join(f"{i % MAX_ORDER} {(7 * i + 1) % MAX_ORDER}\n" for i in range(20_000))
+        tracemalloc.start()
+        try:
+            assert graphs._PLAIN.fullmatch(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -161,6 +270,8 @@ def _parse_with_line_numbers(text):
     n = entries[0][1] if has_header else 1 + max(max(a, b) for _, a, b in edge_entries)
     if n > MAX_ORDER:
         raise ParseError(f"graph order {n} exceeds the limit of {MAX_ORDER}")
+    if len(edge_entries) > graphs.MAX_EDGES:
+        raise ParseError(f"{len(edge_entries)} edge lines exceed the limit of {graphs.MAX_EDGES}")
     for lineno, a, b in edge_entries:
         if a == b:
             raise ParseError(f"line {lineno}: self-loop at vertex {a}")
@@ -367,6 +478,39 @@ class TestBigIntKernel:
         )
         assert _transmissions_bigint(g.adj, weights) == expected
         assert weighted_transmissions(g, weights) == expected
+
+
+def _settling_graphs(n):
+    """K_n, a star, P_n and a path beside a clique: graphs whose vertices
+    see their last source at different levels."""
+    half = n // 2
+    union = [(i, i + 1) for i in range(half - 1)] + [
+        (i, j) for i in range(half, n) for j in range(i + 1, n)
+    ]
+    return {
+        "complete": px.complete_graph(n),
+        "star": px.star_graph(n - 1),
+        "path": px.path_graph(n),
+        "path-and-clique": px.graph_from_edges(n, union),
+    }
+
+
+class TestSettledVertices:
+    """The big-int kernel retires each vertex in the level its last source
+    reaches it; sums over each component, plain and weighted, against
+    Floyd–Warshall."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 33, 65])
+    @pytest.mark.parametrize("shape", ["complete", "star", "path", "path-and-clique"])
+    def test_matches_floyd_warshall(self, n, shape):
+        g = _settling_graphs(n)[shape]
+        fw = floyd_warshall(g)
+        rng = random.Random(n)
+        weights = [rng.choice([0, 0, 1, 3, 2**12]) for _ in range(n)]
+        assert _transmissions_bigint(g.adj) == tuple(sum(d for d in row if d < INF) for row in fw)
+        assert _transmissions_bigint(g.adj, weights) == tuple(
+            sum(w * d for w, d in zip(weights, row) if d < INF) for row in fw
+        )
 
 
 #: Every kernel a graph's transmissions can come from.
