@@ -25,7 +25,6 @@ _EXPORTS = {
         "certify_proximity_chain",
         "certify_remoteness_chain",
         "contract_weights",
-        "degree_range_bounds",
         "q_adjustment",
         "trace_to_json",
     ),
@@ -59,6 +58,7 @@ _EXPORTS = {
         "ClassicalBounds",
         "InvariantSummary",
         "classical_bounds",
+        "degree_range_bounds",
         "invariant_summary",
     ),
     "oracle": (

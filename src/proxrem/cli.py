@@ -10,7 +10,8 @@ document above ``graphs.MAX_ORDER`` vertices or ``graphs.MAX_EDGES`` edge
 lines, an ``extremal`` order above that cap or graph above that budget,
 a sweep above ``extremal.MAX_SWEEP_WORK``, and an ``extremal`` flag that
 does not apply: ``--n``, ``--Delta``, ``--sharpness`` or ``--output``
-with ``--sweep``, ``--csv`` without it), 3 an internal
+with ``--sweep``, ``--csv`` without it, ``--output`` with
+``--sharpness``), 3 an internal
 error: any other exception, reported as one ``internal error:`` line on
 stderr so that a crash never reads as a counterexample.  ``compute`` and
 ``verify`` read G's transmissions, which come with no n×n array;
@@ -21,18 +22,25 @@ trace alone.  A distance kernel imports its array libraries only when
 ``graphs`` selects it, so a small graph, or a large one of small
 diameter, is checked without them.
 
-Each subcommand loads only its own modules.  This module loads what
-``compute`` and ``verify`` run: ``graphs``, ``invariants``, ``weighted``,
-``construction`` and ``report``, so checking a graph imports nothing
-after start-up.  ``extremal`` loads ``extremal`` and ``oracle`` loads
-``oracle``, each inside the command that runs it; neither loads the
-other, and ``compute`` and ``verify`` load neither.
+Each subcommand loads only its own modules, and none loads
+``dataclasses``.  This module loads ``graphs``, ``invariants`` and
+``report``, all that ``compute`` runs.  Every other subcommand names its
+layer, which its parser (:class:`_Subcommand`) imports once the
+subcommand is chosen, so that running the command imports nothing more:
+``verify`` loads ``construction`` (and with it ``weighted``), whose
+``ConstructionError`` :func:`_cmd_verify` catches and exits 1 on;
+``extremal`` loads ``extremal``; ``oracle`` loads ``oracle`` (and
+``weighted``).  The bounds that ``extremal`` and both ``oracle`` commands
+check live in ``invariants``, so neither loads ``construction``, and
+``extremal`` loads no ``weighted`` either.
 
 Output is byte-identical for identical inputs and flags; ``--timings``
-adds wall-clock data and is off by default so the default output stays
-deterministic.  ``verify`` prints the text of ``report.verify_text``; the
-other JSON documents go through ``json.dumps(indent=2)``, which gives the
-same bytes for the same document.
+adds wall-clock data (a ``timings`` key, or a final ``seconds`` line
+under ``compute --format text``) and is off by default so the default
+output stays deterministic.  ``verify`` prints the text of
+``report.verify_text``; the other JSON documents go through
+``json.dumps(indent=2)``, which gives the same bytes for the same
+document.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ import sys
 import time
 from pathlib import Path
 
-from .construction import ConstructionError, bound_report
 from .graphs import (
     DEFAULT_SEED,
     DistanceOracle,
@@ -94,15 +101,23 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         print(f"proximity {rpt.frac_str(inv.proximity)}  median {list(inv.median)}")
         print(f"remoteness {rpt.frac_str(inv.remoteness)}  antimedian {list(inv.antimedian)}")
         print("transmissions " + " ".join(str(t) for t in inv.transmissions))
+        if timings is not None:
+            print(f"seconds {timings['seconds']!r}")
     else:
         _emit(rpt.compute_document(g, inv, args.input), timings)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .construction import ConstructionError, bound_report
+
     t0 = time.perf_counter()
     g, d = _load_graph(args.input)
-    report = bound_report(g, include_chains=args.chain, oracle=d)
+    try:
+        report = bound_report(g, include_chains=args.chain, oracle=d)
+    except ConstructionError as exc:
+        print(f"construction invariant failed: {exc}", file=sys.stderr)
+        return EXIT_CLAIM_FAILED
     seconds = time.perf_counter() - t0 if args.timings else None
     print(rpt.verify_text(g, report, args.input, seconds))
     return EXIT_OK if report.all_hold() else EXIT_CLAIM_FAILED
@@ -116,6 +131,9 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.n is None or args.Delta is None:
         print("error: --n and --Delta are required without --sweep", file=sys.stderr)
+        return EXIT_USAGE
+    if args.sharpness and args.output:
+        print("error: --output cannot be used with --sharpness", file=sys.stderr)
         return EXIT_USAGE
     from .extremal import ExtremalParams, extremal_graph, sharpness_report
 
@@ -221,12 +239,27 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """The parser of one subcommand; it imports the subcommand's ``layer``,
+    a module of this package, when the subcommand is chosen."""
+
+    def __init__(self, *args, layer: str | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.layer = layer
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.layer is not None:
+            # the builtin that import statements call, so -X importtime lists the layer
+            __import__(f"{__package__}.{self.layer}")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxrem",
         description="Exact proximity/remoteness invariants and bound verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("compute", help="invariants of one edge-list graph")
     p.add_argument("input", help="edge-list file")
@@ -234,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true", help="add wall-clock timings")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("verify", help="check every bound on one graph")
+    p = sub.add_parser("verify", help="check every bound on one graph", layer="construction")
     p.add_argument("input", help="edge-list file")
     p.add_argument("--chain", action="store_true", help="certify the inequality chains")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("extremal", help="generate the near-extremal family")
+    p = sub.add_parser("extremal", help="generate the near-extremal family", layer="extremal")
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--Delta", type=int, dest="Delta")
@@ -252,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("oracle", help="brute-force verification sweeps")
+    p = sub.add_parser("oracle", help="brute-force verification sweeps", layer="oracle")
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("lemma-sweep", help="exhaustive weighted-distance bound sweep")
@@ -292,9 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"construction invariant failed: {exc}", file=sys.stderr)
-        return EXIT_CLAIM_FAILED
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -13,7 +13,6 @@ order, minimum degree and maximum degree.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -32,7 +31,8 @@ from .graphs import (
 )
 from .invariants import (
     InvariantSummary,
-    classical_bounds,
+    bound_verdicts,
+    degree_range_bounds,
     invariant_summary,
     summarize_transmissions,
 )
@@ -48,8 +48,7 @@ def _require(cond: bool, msg: str) -> None:
         raise ConstructionError(msg)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Full state of one pipeline run.
 
     ``anchors`` is B in insertion order (``anchors[0]`` is the chosen
@@ -82,10 +81,28 @@ class ConstructionTrace:
     aux: Graph
     q: int
     w0: int
-    tree_summary: InvariantSummary = field(compare=False, repr=False)
-    contracted_tree: tuple[int, ...] = field(compare=False, repr=False)
-    contracted_aux: tuple[int, ...] = field(compare=False, repr=False)
-    adjusted_aux: tuple[int, ...] = field(compare=False, repr=False)
+    tree_summary: InvariantSummary
+    contracted_tree: tuple[int, ...]
+    contracted_aux: tuple[int, ...]
+    adjusted_aux: tuple[int, ...]
+
+    # equality and repr read the fields before the four sums; the dict of
+    # weights leaves a trace unhashable
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self[:_TRACE_SHOWN] == other[:_TRACE_SHOWN]  # type: ignore[index]
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __repr__(self) -> str:
+        shown = zip(self._fields, self[:_TRACE_SHOWN])
+        return "ConstructionTrace(" + ", ".join(f"{name}={value!r}" for name, value in shown) + ")"
+
+
+_TRACE_SHOWN = len(ConstructionTrace._fields) - 4
 
 
 def q_adjustment(n: int, Delta: int, delta: int) -> int:
@@ -284,38 +301,7 @@ def build_construction(g: Graph) -> ConstructionTrace:
     )
 
 
-class DegreeRangeBounds(NamedTuple):
-    """Proximity/remoteness upper bounds from order and both degree extremes."""
-
-    pi_bound: Fraction
-    rho_bound: Fraction
-    case: str  # "large-Delta" | "small-Delta"
-
-
-def degree_range_bounds(n: int, delta: int, Delta: int) -> DegreeRangeBounds:
-    """Case-split bounds: for ``Delta > n/2 - 1``,
-    ``pi <= 3(n-Delta)^2 / (2(n-1)(delta+1)) + 13/2``; otherwise
-    ``pi <= 3(n^2 - 2 Delta^2) / (4(n-1)(delta+1)) + 35/4``; and always
-    ``rho <= 3(n^2 - Delta^2) / (2(n-1)(delta+1)) + 7``.
-
-    Each is one ``Fraction`` of integers over the form's denominator
-    ``2(n-1)(delta+1)`` or ``4(n-1)(delta+1)``, the constant folded in.
-    """
-    if n < 2 or not (1 <= delta <= Delta <= n - 1):
-        raise ValueError(f"invalid parameters (n={n}, delta={delta}, Delta={Delta})")
-    m = (n - 1) * (delta + 1)
-    if 2 * (Delta + 1) > n:
-        pi = Fraction(3 * (n - Delta) ** 2 + 13 * m, 2 * m)
-        case = "large-Delta"
-    else:
-        pi = Fraction(3 * (n * n - 2 * Delta * Delta) + 35 * m, 4 * m)
-        case = "small-Delta"
-    rho = Fraction(3 * (n * n - Delta * Delta) + 14 * m, 2 * m)
-    return DegreeRangeBounds(pi, rho, case)
-
-
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     """One certified inequality ``lhs <= rhs`` with exact values.
 
     A side is an ``int`` where the quantity is an integer sum (σ_T,
@@ -427,46 +413,7 @@ def certify_remoteness_chain(
     )
 
 
-class BoundVerdicts(NamedTuple):
-    """The six bounds of one exact key, with slack and verdicts."""
-
-    case: str  # of :func:`degree_range_bounds`
-    proximity: Fraction
-    remoteness: Fraction
-    bounds: dict[str, Fraction]
-    slack: dict[str, Fraction]
-    holds: dict[str, bool]
-
-
-def bound_verdicts(n: int, delta: int, Delta: int, sigma_min: int, sigma_max: int) -> BoundVerdicts:
-    """All six bounds on a connected graph of order ``n`` with degree
-    extremes ``delta`` and ``Delta`` and transmission extremes ``sigma_min``
-    and ``sigma_max``: the one place the bounds meet a graph's proximity
-    and remoteness.  A pure function of its arguments, so equal keys give
-    equal verdicts."""
-    proximity = Fraction(sigma_min, n - 1)
-    remoteness = Fraction(sigma_max, n - 1)
-    cb = classical_bounds(n, delta)
-    db = degree_range_bounds(n, delta, Delta)
-    bounds = {
-        "proximity_order": cb.pi_order,
-        "proximity_min_degree": cb.pi_min_degree,
-        "proximity_degree_aware": db.pi_bound,
-        "remoteness_order": cb.rho_order,
-        "remoteness_min_degree": cb.rho_min_degree,
-        "remoteness_degree_aware": db.rho_bound,
-    }
-    slack = {
-        name: bound - (proximity if name.startswith("proximity") else remoteness)
-        for name, bound in bounds.items()
-    }
-    # a Fraction's denominator is positive, so its numerator carries the sign
-    holds = {name: s.numerator >= 0 for name, s in slack.items()}
-    return BoundVerdicts(db.case, proximity, remoteness, bounds, slack, holds)
-
-
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every applicable bound for one graph, with exact slack and verdicts."""
 
     order: int

@@ -19,27 +19,31 @@ for rendering a member and as the tests' reference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import graphs
-from .construction import degree_range_bounds
 # all_pairs_distances is not called here; perfbench's tracer test checks this binding
 from .graphs import MAX_ORDER, Graph, all_pairs_distances, graph_from_edges, parallel_map  # noqa: F401
+from .invariants import degree_range_bounds
 
 
-@dataclass(frozen=True)
-class SequentialSumSpec:
-    """Ordered complete-block sizes of a sequential sum."""
-
+class _Blocks(NamedTuple):
     blocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+
+class SequentialSumSpec(_Blocks):
+    """Ordered complete-block sizes of a sequential sum."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple[int, ...]) -> "SequentialSumSpec":
+        if not blocks:
             raise ValueError("sequential sum needs at least one block")
-        if min(self.blocks) < 1:
-            raise ValueError(f"block sizes must be positive, got {self.blocks}")
+        if min(blocks) < 1:
+            raise ValueError(f"block sizes must be positive, got {blocks}")
+        return super().__new__(cls, blocks)
 
 
 def sequential_sum(spec: SequentialSumSpec) -> Graph:
@@ -108,30 +112,32 @@ def sequential_sum_degrees(spec: SequentialSumSpec) -> tuple[int, ...]:
 MAX_SWEEP_WORK = 20_000_000
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Valid parameter triple for the family: ``3 <= delta < Delta < n <=
-    MAX_ORDER`` and ``n - Delta`` a multiple of ``delta + 1``."""
-
+class _Triple(NamedTuple):
     n: int
     delta: int
     Delta: int
 
-    def __post_init__(self) -> None:
-        if self.n > MAX_ORDER:
-            raise ValueError(f"--n {self.n} is above the order limit of {MAX_ORDER}")
-        if self.delta < 3:
-            raise ValueError(f"family requires minimum degree >= 3, got {self.delta}")
-        if not self.delta < self.Delta < self.n:
+
+class ExtremalParams(_Triple):
+    """Valid parameter triple for the family: ``3 <= delta < Delta < n <=
+    MAX_ORDER`` and ``n - Delta`` a multiple of ``delta + 1``."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, delta: int, Delta: int) -> "ExtremalParams":
+        if n > MAX_ORDER:
+            raise ValueError(f"--n {n} is above the order limit of {MAX_ORDER}")
+        if delta < 3:
+            raise ValueError(f"family requires minimum degree >= 3, got {delta}")
+        if not delta < Delta < n:
+            raise ValueError(f"need delta < Delta < n, got ({delta}, {Delta}, {n})")
+        if (n - Delta) % (delta + 1) != 0:
             raise ValueError(
-                f"need delta < Delta < n, got ({self.delta}, {self.Delta}, {self.n})"
+                f"n - Delta = {n - Delta} must be divisible by "
+                f"delta + 1 = {delta + 1}; adjust n "
+                f"(nearest valid: {nearest_valid_n(n, delta, Delta)})"
             )
-        if (self.n - self.Delta) % (self.delta + 1) != 0:
-            raise ValueError(
-                f"n - Delta = {self.n - self.Delta} must be divisible by "
-                f"delta + 1 = {self.delta + 1}; adjust n "
-                f"(nearest valid: {nearest_valid_n(self.n, self.delta, self.Delta)})"
-            )
+        return super().__new__(cls, n, delta, Delta)
 
     @property
     def k(self) -> int:
@@ -193,8 +199,7 @@ def layer_assignment(p: ExtremalParams) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SharpnessRecord:
+class SharpnessRecord(NamedTuple):
     """Gap between the degree-aware bounds and the family's true values."""
 
     n: int

@@ -16,10 +16,9 @@ import operator
 import os
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 #: Sentinel distance for unreachable vertex pairs.  Large enough that a
 #: single addition cannot collide with a real hop count, small enough to
@@ -95,8 +94,7 @@ class ParseError(ValueError):
     """An edge-list document could not be parsed or validated."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple graph given by sorted adjacency tuples.
 
     Invariants (enforced by :func:`graph_from_edges`): adjacency is
@@ -127,18 +125,27 @@ class Graph:
         return v in self.adj[u]
 
 
-@dataclass(frozen=True, eq=False)
 class DistanceOracle:
     """Hop distances of one graph, with no n×n array.
 
     ``transmissions`` are every vertex's distance sum, exact, or ``None``
     when the graph is disconnected.  ``row(v)`` is one BFS row from v,
-    ``INF`` where unreachable.
+    ``INF`` where unreachable.  Immutable, and equal only to itself.
     """
 
-    connected: bool
-    transmissions: tuple[int, ...] | None
-    _adj: Sequence[Sequence[int]] = field(repr=False)
+    def __init__(
+        self, connected: bool, transmissions: tuple[int, ...] | None, _adj: Sequence[Sequence[int]]
+    ) -> None:
+        vars(self).update(connected=connected, transmissions=transmissions, _adj=_adj)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DistanceOracle(connected={self.connected!r}, transmissions={self.transmissions!r})"
 
     def row(self, v: int) -> list[int]:
         return _bfs(self._adj, v)

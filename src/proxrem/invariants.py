@@ -1,20 +1,27 @@
-"""Unweighted distance invariants and the order / minimum-degree bounds.
+"""Unweighted distance invariants and the six bounds on proximity and
+remoteness.
 
 Everything is exact: transmissions are integers, proximity and remoteness
 are ``fractions.Fraction``.  No floating point enters any comparison.
+
+The bounds are closed forms in a graph's order and degree extremes: the
+order / minimum-degree bounds (:func:`classical_bounds`), the degree-range
+bounds (:func:`degree_range_bounds`), and :func:`bound_verdicts`, which
+meets all six with a graph's transmission extremes.  They live here, with
+no import of the construction, so that ``extremal`` and ``oracle`` check
+them without loading it; ``construction`` imports them back for its
+chains and :func:`~proxrem.construction.bound_report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 
-@dataclass(frozen=True)
-class InvariantSummary:
+class InvariantSummary(NamedTuple):
     """Per-vertex and aggregate distance invariants of a connected graph.
 
     A vertex's average distance is its transmission over ``order - 1``;
@@ -99,3 +106,71 @@ def classical_bounds(n: int, delta: int) -> ClassicalBounds:
         rho_min_degree=Fraction(3 * n + 7 * (delta + 1), 2 * (delta + 1)),
         pi_min_degree=Fraction(3 * n + 12 * (delta + 1), 4 * (delta + 1)),
     )
+
+
+class DegreeRangeBounds(NamedTuple):
+    """Proximity/remoteness upper bounds from order and both degree extremes."""
+
+    pi_bound: Fraction
+    rho_bound: Fraction
+    case: str  # "large-Delta" | "small-Delta"
+
+
+def degree_range_bounds(n: int, delta: int, Delta: int) -> DegreeRangeBounds:
+    """Case-split bounds: for ``Delta > n/2 - 1``,
+    ``pi <= 3(n-Delta)^2 / (2(n-1)(delta+1)) + 13/2``; otherwise
+    ``pi <= 3(n^2 - 2 Delta^2) / (4(n-1)(delta+1)) + 35/4``; and always
+    ``rho <= 3(n^2 - Delta^2) / (2(n-1)(delta+1)) + 7``.
+
+    Each is one ``Fraction`` of integers over the form's denominator
+    ``2(n-1)(delta+1)`` or ``4(n-1)(delta+1)``, the constant folded in.
+    """
+    if n < 2 or not (1 <= delta <= Delta <= n - 1):
+        raise ValueError(f"invalid parameters (n={n}, delta={delta}, Delta={Delta})")
+    m = (n - 1) * (delta + 1)
+    if 2 * (Delta + 1) > n:
+        pi = Fraction(3 * (n - Delta) ** 2 + 13 * m, 2 * m)
+        case = "large-Delta"
+    else:
+        pi = Fraction(3 * (n * n - 2 * Delta * Delta) + 35 * m, 4 * m)
+        case = "small-Delta"
+    rho = Fraction(3 * (n * n - Delta * Delta) + 14 * m, 2 * m)
+    return DegreeRangeBounds(pi, rho, case)
+
+
+class BoundVerdicts(NamedTuple):
+    """The six bounds of one exact key, with slack and verdicts."""
+
+    case: str  # of :func:`degree_range_bounds`
+    proximity: Fraction
+    remoteness: Fraction
+    bounds: dict[str, Fraction]
+    slack: dict[str, Fraction]
+    holds: dict[str, bool]
+
+
+def bound_verdicts(n: int, delta: int, Delta: int, sigma_min: int, sigma_max: int) -> BoundVerdicts:
+    """All six bounds on a connected graph of order ``n`` with degree
+    extremes ``delta`` and ``Delta`` and transmission extremes ``sigma_min``
+    and ``sigma_max``: the one place the bounds meet a graph's proximity
+    and remoteness.  A pure function of its arguments, so equal keys give
+    equal verdicts."""
+    proximity = Fraction(sigma_min, n - 1)
+    remoteness = Fraction(sigma_max, n - 1)
+    cb = classical_bounds(n, delta)
+    db = degree_range_bounds(n, delta, Delta)
+    bounds = {
+        "proximity_order": cb.pi_order,
+        "proximity_min_degree": cb.pi_min_degree,
+        "proximity_degree_aware": db.pi_bound,
+        "remoteness_order": cb.rho_order,
+        "remoteness_min_degree": cb.rho_min_degree,
+        "remoteness_degree_aware": db.rho_bound,
+    }
+    slack = {
+        name: bound - (proximity if name.startswith("proximity") else remoteness)
+        for name, bound in bounds.items()
+    }
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    holds = {name: s.numerator >= 0 for name, s in slack.items()}
+    return BoundVerdicts(db.case, proximity, remoteness, bounds, slack, holds)

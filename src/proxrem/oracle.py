@@ -19,21 +19,22 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
-from .construction import BoundVerdicts, bound_report, bound_verdicts
 from .graphs import (
     DEFAULT_SEED,
     Graph,
     _tree_sigmas,
+    all_pairs_distances,
+    degree_stats,
     graph_from_edges,
     is_connected,
     parallel_map,
     render_graph,
 )
+from .invariants import BoundVerdicts, bound_verdicts
 from .weighted import any_vertex_bound, median_bound
 
 
@@ -141,8 +142,7 @@ def _tree_shapes(m: int) -> Iterator[list[tuple[int, int]]]:
 # Exhaustive sweep of the weighted-distance bounds
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Observed maxima for one (total, heavy) pair across the whole sweep."""
 
     total: int
@@ -161,8 +161,7 @@ class SweepRecord:
         return self.any_bound - self.any_observed
 
 
-@dataclass(frozen=True)
-class SweepViolation:
+class SweepViolation(NamedTuple):
     kind: str  # "median" | "any"
     order: int
     prufer: tuple[int, ...]
@@ -172,15 +171,14 @@ class SweepViolation:
     bound: Fraction
 
 
-@dataclass
-class LemmaSweepReport:
+class LemmaSweepReport(NamedTuple):
     max_total: int
     max_order: int
     trees: int
     weightings: int  # tree x weight-vector combinations
     instances: int   # tree x vector x (designated vertex, heavy threshold)
-    records: list[SweepRecord] = field(default_factory=list)
-    violations: list[SweepViolation] = field(default_factory=list)
+    records: list[SweepRecord]
+    violations: list[SweepViolation]
 
     @property
     def ok(self) -> bool:
@@ -364,7 +362,7 @@ def lemma_sweep(max_total: int = 9, max_order: int = 7, jobs: int = 1) -> LemmaS
 # Seeded random connected graphs
 
 #: Largest ``--max-n`` of random mode.  The sampler draws n(n−1)/2 numbers
-#: per attempt: sampling plus ``bound_report`` of one graph of order 1000
+#: per attempt: sampling plus checking one graph of order 1000
 #: took 0.09–0.58 s and peaked at 3.4–79 MiB by ``tracemalloc`` over seeds
 #: 1–6 (2 cores, Python 3.11.7), and 0.39 s and 84 MiB with every pair an
 #: edge, so about 0.4·n² µs and 88·n² bytes per graph.
@@ -409,22 +407,43 @@ def sample_corpus(seed: int, count: int, max_order: int) -> list[Graph]:
 # Exhaustive / randomized bound verification
 
 
-@dataclass(frozen=True)
-class BoundWitness:
+class BoundWitness(NamedTuple):
     label: str
     slack: Fraction
     edge_list: str
 
 
-@dataclass
 class BoundCheckReport:
-    mode: str
-    params: dict
-    graphs: int
-    min_slack: dict[str, Fraction] = field(default_factory=dict)
-    witness: dict[str, BoundWitness] = field(default_factory=dict)
-    path_equality_ok: bool | None = None
-    violations: list[BoundWitness] = field(default_factory=list)
+    """What one bound check found; the check fills it in as it goes."""
+
+    def __init__(
+        self,
+        mode: str,
+        params: dict,
+        graphs: int,
+        min_slack: dict[str, Fraction] | None = None,
+        witness: dict[str, BoundWitness] | None = None,
+        path_equality_ok: bool | None = None,
+        violations: list[BoundWitness] | None = None,
+    ) -> None:
+        self.mode = mode
+        self.params = params
+        self.graphs = graphs
+        self.min_slack = {} if min_slack is None else min_slack
+        self.witness = {} if witness is None else witness
+        self.path_equality_ok = path_equality_ok
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"BoundCheckReport({fields})"
 
     @property
     def ok(self) -> bool:
@@ -501,18 +520,22 @@ def _tree_check(max_n: int, jobs: int) -> BoundCheckReport:
     return report
 
 
-def _random_verdict(g: Graph) -> tuple[dict[str, Fraction], bool]:
-    report = bound_report(g)
-    return report.slack, report.all_hold()
+def _graph_key(g: Graph) -> tuple[int, int, int, int, int]:
+    """The exact key (n, δ, Δ, σmin, σmax) of a connected graph."""
+    trans = all_pairs_distances(g).transmissions
+    return (g.n, *degree_stats(g), min(trans), max(trans))
 
 
 def _random_check(max_n: int, samples: int, seed: int, jobs: int) -> BoundCheckReport:
     graphs = sample_corpus(seed, samples, max_n)
     params = {"max_n": max_n, "samples": samples, "seed": seed}
     report = BoundCheckReport("random", params, samples)
+    keys = parallel_map(_graph_key, graphs, jobs)
+    verdicts = {key: bound_verdicts(*key) for key in dict.fromkeys(keys)}
     first: dict[str, int] = {}
-    for i, (slack, ok) in enumerate(parallel_map(_random_verdict, graphs, jobs)):
-        if not ok:
+    for i, key in enumerate(keys):
+        slack, holds = verdicts[key].slack, verdicts[key].holds
+        if not all(holds.values()):
             report.violations.append(
                 BoundWitness(f"random-seed{seed}-i{i}", _worst(slack), render_graph(graphs[i]))
             )
@@ -544,9 +567,10 @@ def exhaustive_bound_check(
     trees are walked, in Prufer product order, only to name each tree of
     a failing key and, after the merge, each bound's witness: the first
     tree of the smallest order attaining the bound's minimum.  Random mode
-    checks ``samples`` seeded connected graphs of order up to ``max_n``
-    through :func:`~proxrem.construction.bound_report`, one item per graph;
-    the first attaining each minimum is its witness.
+    checks ``samples`` seeded connected graphs of order up to ``max_n``:
+    each graph's exact key (n, δ, Δ, σmin, σmax) is one item, and
+    :func:`bound_verdicts` runs once per distinct key; the first graph
+    attaining each minimum is its witness.
 
     So each witness is the first graph attaining its bound's minimum and
     the report is the same for any ``jobs``.  An edge list is rendered

@@ -10,10 +10,9 @@ heavy vertex.  All arithmetic is exact rational: each closed form is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .graphs import DistanceOracle, Graph, ParseError, _bfs, is_connected
 
@@ -24,18 +23,25 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Nonnegative rational weights on the vertices ``0..n-1``."""
-
+class _Weights(NamedTuple):
     values: tuple[Fraction, ...]
-    total: Fraction = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        for v, w in enumerate(self.values):
+
+class WeightFunction(_Weights):
+    """Nonnegative rational weights on the vertices ``0..n-1``; ``w[v]`` is
+    the weight of v."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[Fraction, ...]) -> "WeightFunction":
+        for v, w in enumerate(values):
             if w < 0:
                 raise ValueError(f"negative weight {w} at vertex {v}")
-        object.__setattr__(self, "total", sum(self.values, Fraction(0)))
+        return super().__new__(cls, values)
+
+    @property
+    def total(self) -> Fraction:
+        return sum(self.values, Fraction(0))
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "WeightFunction":
@@ -149,29 +155,33 @@ def median_by_branch_weight(t: Graph, c: WeightFunction) -> tuple[int, ...]:
     return tuple(v for v in range(t.n) if branch_weight(t, c, v) <= half)
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class _Profile(NamedTuple):
+    total: Fraction   # N
+    floor: Fraction   # k
+    heavy: Fraction   # L
+
+
+class WeightProfile(_Profile):
     """Parameters of a floor-weight profile: total ``N``, per-vertex floor
     ``k``, and a designated heavy vertex of weight at least ``L``.
 
     Validity: ``0 < k < L <= N`` and ``(N - L) / k`` a nonnegative integer.
     """
 
-    total: Fraction   # N
-    floor: Fraction   # k
-    heavy: Fraction   # L
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 < self.floor < self.heavy <= self.total):
+    def __new__(cls, total: Fraction, floor: Fraction, heavy: Fraction) -> "WeightProfile":
+        if not (0 < floor < heavy <= total):
             raise ValueError(
                 f"need 0 < floor < heavy <= total, got "
-                f"({self.floor}, {self.heavy}, {self.total})"
+                f"({floor}, {heavy}, {total})"
             )
-        steps = (self.total - self.heavy) / self.floor
+        steps = (total - heavy) / floor
         if steps.denominator != 1:
             raise ValueError(
                 f"(total - heavy) / floor = {steps} must be a nonnegative integer"
             )
+        return super().__new__(cls, total, floor, heavy)
 
     @classmethod
     def of(cls, total: RationalLike, heavy: RationalLike, floor: RationalLike) -> "WeightProfile":

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxrem as px
-from proxrem import oracle
+from proxrem import construction, oracle
 from proxrem.cli import main
 from proxrem.graphs import MAX_ORDER
 from proxrem.oracle import MAX_RANDOM_ORDER, instance_csv_rows
@@ -352,9 +352,11 @@ class TestExtremal:
             (["--sweep", "16", "17", "--n", "20", "--Delta", "8", "--sharpness", "--output", "out.edges"],
              "--n, --Delta, --sharpness, --output cannot be used with --sweep"),
             (["--n", "20", "--Delta", "8", "--csv", "out.csv"], "--csv needs --sweep"),
+            (["--n", "20", "--Delta", "8", "--sharpness", "--output", "out.edges"],
+             "--output cannot be used with --sharpness"),
         ],
         ids=["sweep-n", "sweep-Delta", "sweep-sharpness", "sweep-output", "sweep-all-four",
-             "csv-without-sweep"],
+             "csv-without-sweep", "sharpness-output"],
     )
     def test_flag_that_does_not_apply_exits_2_before_any_member(
             self, capsys, monkeypatch, tmp_path, argv, message):
@@ -529,19 +531,27 @@ class TestUsage:
             "print(*sorted(sys.modules), file=sys.stderr)\n"
         )
         src = str(Path(px.__file__).parents[1])
+        layers = {"proxrem.construction", "proxrem.weighted", "proxrem.extremal", "proxrem.oracle"}
         cases = [
-            (["extremal", "--delta", "3", "--sweep", "16", "40"], "proxrem.extremal",
-             {"proxrem.oracle", "numpy", "scipy"}),
+            (["compute", str(f)], "proxrem.invariants", layers),
             (["verify", "--chain", str(f)], "proxrem.construction", {"proxrem.oracle", "proxrem.extremal"}),
+            (["extremal", "--delta", "3", "--sweep", "16", "40"], "proxrem.extremal",
+             {"proxrem.oracle", "proxrem.construction", "proxrem.weighted"}),
+            (["extremal", "--n", "20", "--delta", "3", "--Delta", "8", "--sharpness"], "proxrem.extremal",
+             {"proxrem.oracle", "proxrem.construction", "proxrem.weighted"}),
             (["oracle", "lemma-sweep", "--max-n", "5", "--max-order", "4"], "proxrem.oracle",
-             {"proxrem.extremal"}),
+             {"proxrem.extremal", "proxrem.construction"}),
+            (["oracle", "bound-check", "--trees", "4"], "proxrem.oracle",
+             {"proxrem.extremal", "proxrem.construction"}),
+            (["oracle", "bound-check", "--random", "5", "--max-n", "12"], "proxrem.oracle",
+             {"proxrem.extremal", "proxrem.construction"}),
         ]
         for argv, runs, never in cases:
             proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": src}, timeout=120)
             assert proc.returncode == 0, proc.stderr
             loaded = set(proc.stderr.split())
-            assert runs in loaded and loaded & never == set(), argv
+            assert runs in loaded and loaded & (never | {"dataclasses", "numpy", "scipy"}) == set(), argv
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
@@ -602,35 +612,31 @@ class TestUsage:
         def broken(g, include_chains=False, oracle=None):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli_mod, "bound_report", broken)
+        monkeypatch.setattr(construction, "bound_report", broken)
         code, out, err = _run(capsys, "verify", p5_file)
         assert code == cli_mod.EXIT_INTERNAL == 3
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
 
     def test_construction_error_still_exits_1(self, capsys, p5_file, monkeypatch):
-        import proxrem.cli as cli_mod
-
         def broken(g, include_chains=False, oracle=None):
             raise px.ConstructionError("star overlaps")
 
-        monkeypatch.setattr(cli_mod, "bound_report", broken)
+        monkeypatch.setattr(construction, "bound_report", broken)
         code, _, err = _run(capsys, "verify", p5_file, "--chain")
         assert code == 1
         assert err.startswith("construction invariant failed:")
 
     def test_failed_claim_exits_1(self, capsys, p5_file, monkeypatch):
         # force a failing verdict to pin the exit-code contract
-        import proxrem.cli as cli_mod
-
-        real = cli_mod.bound_report
+        real = construction.bound_report
 
         def sabotage(g, include_chains=False, oracle=None):
             report = real(g, include_chains=include_chains, oracle=oracle)
             report.holds["remoteness_order"] = False
             return report
 
-        monkeypatch.setattr(cli_mod, "bound_report", sabotage)
+        monkeypatch.setattr(construction, "bound_report", sabotage)
         code, out, _ = _run(capsys, "verify", p5_file)
         assert code == 1
         assert json.loads(out)["verification"]["all_hold"] is False
@@ -729,7 +735,8 @@ class TestDeterminism:
             ["oracle", "bound-check", "--trees", "7"],
             ["oracle", "bound-check", "--random", "20", "--max-n", "18", "--seed", "7"],
         ]
-        timed = [["compute", str(f), "--timings"], ["verify", "--chain", str(f), "--timings"]]
+        timed = [["compute", str(f), "--timings"], ["verify", "--chain", str(f), "--timings"],
+                 ["compute", str(f), "--format", "text", "--timings"]]
         argvs = single + [a + ["--jobs", j] for a in with_jobs for j in ("1", "2")]
         first = self._run_all(argvs + timed, hash_seed=1)
         assert first[:len(argvs)] == self._run_all(argvs, hash_seed=2)
@@ -739,6 +746,11 @@ class TestDeterminism:
             assert results[(*a, "--jobs", "1")] == results[(*a, "--jobs", "2")]
         for a in timed:
             code, out = results[tuple(a)]
-            doc = json.loads(out)
-            assert set(doc.pop("timings")) == {"seconds"}
-            assert (code, json.dumps(doc, indent=2) + "\n") == results[tuple(a[:-1])]
+            if "text" in a:
+                out, seconds = out.rsplit("seconds ", 1)
+                assert float(seconds) >= 0 and seconds == repr(float(seconds)) + "\n"
+            else:
+                doc = json.loads(out)
+                assert set(doc.pop("timings")) == {"seconds"}
+                out = json.dumps(doc, indent=2) + "\n"
+            assert (code, out) == results[tuple(a[:-1])]

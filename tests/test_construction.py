@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -580,7 +579,7 @@ class TestDistanceReuse:
         sums = ("tree_summary", "contracted_tree", "contracted_aux", "adjusted_aux")
         assert not any(name in repr(a) for name in sums)
         assert not any(name in trace_to_json(a) for name in sums)
-        assert dataclasses.replace(a, contracted_aux=(0,) * len(a.anchors)) == a
+        assert a._replace(contracted_aux=(0,) * len(a.anchors)) == a
 
     @pytest.mark.parametrize(
         "g",
